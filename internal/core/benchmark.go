@@ -15,17 +15,19 @@ import (
 // it does not use the paper's simultaneous multi-device collection
 // framework), then, while the tour exceeds the energy capacity, remove the
 // node whose removal loses the least data volume per unit of energy saved.
+//
+// The pruned tour is re-polished with tsp.Improve after every removal,
+// matching the paper's description of re-computing the tour as nodes are
+// pruned.
 type BenchmarkPlanner struct {
-	// ImproveEvery controls how often (in removals) the pruned tour is
-	// re-optimised with 2-opt; 0 means every removal, matching the
-	// paper's description of re-computing the tour as nodes are pruned.
-	ImproveEvery int
 	// Reference disables the fast path: the dense memoised distance
-	// matrix over depot+sensors and the in-place removal pricing (the
+	// matrix over depot+sensors, the in-place removal pricing (the
 	// neighbour-edge delta computed directly instead of through
-	// tsp.Remove's index scan and slice copy). Both are pure expression
-	// rewrites yielding the exact same float64s, so plans, counters and
-	// traces are bit-identical either way.
+	// tsp.Remove's index scan and slice copy), and the per-removal
+	// re-polish through tsp.ImproveAfterRemove instead of full
+	// tsp.Improve sweeps. All are exact rewrites yielding the same
+	// float64s and the same moves, so plans, counters and traces are
+	// bit-identical either way.
 	Reference bool
 }
 
@@ -60,23 +62,28 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 		endPlan()
 		return nil, fmt.Errorf("core: benchmark tsp: %w", err)
 	}
-	tsp.Improve(&tour, dist, rec)
+	_, certified := tsp.ImproveCertified(&tour, dist, rec)
 	endCon()
+	// polish re-polishes the tour after the item at position p of its
+	// previous order was removed (p < 0: nothing was).
+	polish := func(p int) {
+		if b.Reference {
+			tsp.Improve(&tour, dist, rec)
+			return
+		}
+		_, certified = tsp.ImproveAfterRemove(&tour, dist, p, certified, rec)
+	}
 
 	var hoverTime units.Seconds
 	for v := 0; v < n; v++ {
 		hoverTime += units.Seconds(net.UploadTime(v))
 	}
 
-	improveEvery := b.ImproveEvery
-	if improveEvery <= 0 {
-		improveEvery = 1
-	}
 	removed := 0
 	endPrune := tr.Begin(SpanPlanBenchPrune)
 	for in.Model.TourEnergy(units.Meters(tour.Cost(dist)), hoverTime) > in.Budget()+1e-9 {
 		// Find the cheapest-loss removal.
-		bestItem := -1
+		bestItem, bestPos := -1, -1
 		bestScore := 0.0
 		tn := tour.Len()
 		for ti, it := range tour.Order {
@@ -101,12 +108,12 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 			saved := in.Model.TravelEnergy(units.Meters(travelD)) + in.Model.HoverEnergy(units.Seconds(net.UploadTime(v)))
 			if saved <= 1e-12 {
 				// Removing frees no energy (duplicate position); always take it.
-				bestItem = it
+				bestItem, bestPos = it, ti
 				break
 			}
 			score := net.Sensors[v].Data / saved.F()
 			if bestItem < 0 || score < bestScore {
-				bestItem, bestScore = it, score
+				bestItem, bestPos, bestScore = it, ti, score
 			}
 		}
 		if bestItem < 0 {
@@ -117,12 +124,10 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 		removals.Inc()
 		tr.Event(EventBenchRemove, trace.Int("item", bestItem))
 		removed++
-		if removed%improveEvery == 0 {
-			tsp.Improve(&tour, dist, rec)
-		}
+		polish(bestPos)
 	}
 	endPrune(trace.Int("removed", removed))
-	tsp.Improve(&tour, dist, rec)
+	polish(-1)
 
 	tour.RotateTo(0)
 	plan := &Plan{Algorithm: b.Name(), Depot: net.Depot}

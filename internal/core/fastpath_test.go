@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/obs"
+	"uavdc/internal/sensornet"
+	"uavdc/internal/trace"
 	"uavdc/internal/units"
 )
 
@@ -115,6 +119,92 @@ func TestFastPathMatchesReferenceReplan(t *testing.T) {
 			}
 			assertPlansIdentical(t, "replan-fast", workers, ref, fast)
 		}
+	}
+}
+
+// TestFastPathMatchesReferenceBaseline holds the baseline planner's fast
+// path — the memoised matrix, the in-place removal pricing, and the O(n)
+// removal certificate (tsp.ImproveAfterRemove) in place of a full
+// tsp.Improve after every removal — to the Reference path: bit-equal
+// plans, counter snapshots and stripped traces at GOMAXPROCS 1, 2 and 8.
+// Fixtures: medium fields, a budget so tight the tour is pruned below the
+// certificate's small-tour cutoff of 8 items, and a field of
+// duplicate-position sensors, half of the twins holding no data, so
+// removals meet zero-length edges and free no energy.
+func TestFastPathMatchesReferenceBaseline(t *testing.T) {
+	dup := mediumInstance(t, 5, 3e4)
+	net := *dup.Net
+	net.Sensors = append([]sensornet.Sensor(nil), net.Sensors...)
+	for v := 1; v < len(net.Sensors); v += 2 {
+		net.Sensors[v].Pos = net.Sensors[v-1].Pos
+		if v%4 == 1 {
+			net.Sensors[v].Data = 0
+		}
+	}
+	dup.Net = &net
+	fixtures := []struct {
+		name     string
+		in       *Instance
+		maxStops int
+	}{
+		{"medium-seed1", mediumInstance(t, 1, 2e4), len(dup.Net.Sensors)},
+		{"medium-seed7", mediumInstance(t, 7, 4e4), len(dup.Net.Sensors)},
+		{"tight", mediumInstance(t, 3, 1.5e3), 6},
+		{"duplicates", dup, len(dup.Net.Sensors)},
+	}
+	run := func(in *Instance, reference bool) (*Plan, obs.Snapshot, trace.Trace) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		buf := trace.NewBuffer()
+		buf.SetDetail(true)
+		instr := *in
+		instr.Obs = trace.With(reg, buf)
+		plan, err := (&BenchmarkPlanner{Reference: reference}).Plan(&instr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, reg.Snapshot(), buf.Snapshot()
+	}
+	jsonl := func(tr trace.Trace) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := trace.WriteJSONL(&b, tr, true); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, fx := range fixtures {
+		ref, refSnap, refTrace := run(fx.in, true)
+		if refSnap.Counters[CounterBenchRemovals] == 0 {
+			t.Fatalf("%s: nothing pruned; the fixture does not exercise the prune loop", fx.name)
+		}
+		if len(ref.Stops) > fx.maxStops {
+			t.Fatalf("%s: %d stops left, fixture wants at most %d", fx.name, len(ref.Stops), fx.maxStops)
+		}
+		for _, procs := range []int{1, 2, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			fast, snap, tr := run(fx.in, false)
+			runtime.GOMAXPROCS(prev)
+			assertPlansIdentical(t, "benchmark-fast/"+fx.name, procs, ref, fast)
+			if !refSnap.Equal(snap) {
+				t.Errorf("%s GOMAXPROCS=%d: counters diverge:\n%s", fx.name, procs, refSnap.Diff(snap))
+			}
+			if !bytes.Equal(jsonl(refTrace), jsonl(tr)) {
+				t.Errorf("%s GOMAXPROCS=%d: stripped trace diverges", fx.name, procs)
+			}
+		}
+	}
+	// The duplicates fixture's first removal must be a zero-data twin: one
+	// that frees no energy and is taken on sight.
+	_, _, tr := run(dup, false)
+	for _, r := range tr.Records {
+		if r.Name != EventBenchRemove {
+			continue
+		}
+		if v := int(r.Attrs[0].Num) - 1; net.Sensors[v].Data > 0 {
+			t.Errorf("duplicates: first removal is sensor %d holding %v MB, want a zero-data twin", v, net.Sensors[v].Data)
+		}
+		break
 	}
 }
 

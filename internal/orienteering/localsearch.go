@@ -26,9 +26,16 @@ func LocalSearch(p *Problem, start Solution, maxIters int) Solution {
 	for iter := 0; iter < maxIters; iter++ {
 		improved := false
 		// Polish ordering first so budget headroom is maximal.
+		// certified says whether cur.Tour is now an Improve fixed point,
+		// which lets drop+refill re-polish each trial removal in O(n). A
+		// polish saving at most 1e-12 is discarded, so cur.Tour is then
+		// certified only if the polish moved nothing.
 		t := cur.Tour.Clone()
-		if tsp.Improve(&t, p.Cost) > 1e-12 {
+		saved, certified := tsp.ImproveCertified(&t, p.Cost)
+		if saved > 1e-12 {
 			cur = p.solutionFor(t)
+		} else if saved > 0 {
+			certified = false
 		}
 
 		in := make([]bool, p.N)
@@ -94,12 +101,12 @@ func LocalSearch(p *Problem, start Solution, maxIters int) Solution {
 		// Move 3: drop + refill. Evict one node and greedily repack the
 		// freed budget; keep the result only when total reward rises.
 		if !improved {
-			for _, out := range append([]int(nil), cur.Tour.Order...) {
+			for pos, out := range append([]int(nil), cur.Tour.Order...) {
 				if out == p.Depot {
 					continue
 				}
 				trial, _ := tsp.Remove(cur.Tour, out, p.Cost)
-				tsp.Improve(&trial, p.Cost)
+				tsp.ImproveAfterRemove(&trial, p.Cost, pos, certified)
 				cand := p.solutionFor(trial)
 				cand = greedyFill(p, cand, out)
 				if cand.Reward > cur.Reward+1e-9 {

@@ -232,7 +232,11 @@ func TestOpLogSeqJoinsTraceStream(t *testing.T) {
 	s := New(Config{TraceWriter: &traces, StripTimes: true, planFn: stubPlanner})
 	s.Do(context.Background(), testRequest(1))
 	s.Do(context.Background(), testRequest(1))
-	defer s.Close(context.Background())
+	// The worker streams the plan trace after answering the request;
+	// Close waits for it before the buffer is read.
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	recs := s.OpLogSince(0)
 	if len(recs) != 2 {

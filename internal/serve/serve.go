@@ -114,7 +114,8 @@ type Server struct {
 	closed   bool
 	inflight map[string]*flight
 	queue    chan *flight
-	wg       sync.WaitGroup
+	// wg counts the workers and the background sampler; Close waits on it.
+	wg sync.WaitGroup
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -189,6 +190,7 @@ func New(cfg Config) *Server {
 		go s.worker(i + 1)
 	}
 	if cfg.SampleInterval > 0 {
+		s.wg.Add(1)
 		go s.sampler(cfg.SampleInterval)
 	}
 	return s
@@ -412,7 +414,8 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 // ErrShuttingDown (cache hits are still served, and still logged), the
 // background sampler stops, queued flights land, their waiters get
 // responses, and the op-log writer flushes. It returns when the pool has
-// drained and the op-log closed, or the context expires.
+// drained, the sampler has exited and the op-log closed, or the context
+// expires.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {

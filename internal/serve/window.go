@@ -127,8 +127,10 @@ func (s *Server) Sample() {
 	})
 }
 
-// sampler drives Sample on the configured interval until Close.
+// sampler drives Sample on the configured interval until Close, which
+// waits for it to exit.
 func (s *Server) sampler(interval time.Duration) {
+	defer s.wg.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
