@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAllowDirective -fuzztime 10s ./internal/lint
 	$(GO) test -fuzz FuzzCanonicalInstance -fuzztime 10s ./internal/canon
 	$(GO) test -fuzz FuzzImproveAfterRemove -fuzztime 10s ./internal/tsp
+	$(GO) test -fuzz FuzzInsertionCache -fuzztime 10s ./internal/core
 
 # Adaptive-executor gate: the reachable-depot property test over its fixed
 # seed matrix, the cross-worker determinism test, and the bit-for-bit

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"uavdc/internal/geom"
@@ -108,8 +109,9 @@ func (a *Algorithm2) evalFull(st *greedyState, c int, curEnergy units.Joules, so
 	case st.reference:
 		pos, travelD = tsp.BestInsertion(st.tour, c, st.dist)
 	default:
-		// Bit-equal to BestInsertion: same hypotenuses, cached edges.
-		pos, travelD = st.ins.bestInsertion(loc.Pos)
+		// Bit-equal to BestInsertion: same hypotenuses, cached edges,
+		// re-priced incrementally from the last iteration's slot.
+		pos, travelD = st.slots.best(c, loc.Pos, &st.ins)
 	}
 	hoverE := st.in.Model.HoverEnergy(sojourn)
 	travelE := st.in.Model.TravelEnergy(units.Meters(travelD))
@@ -161,8 +163,7 @@ func (a *Algorithm2) pickNext(st *greedyState) (fullCandidate, bool) {
 // the reference scan's evals.
 func (a *Algorithm2) pickNextFast(st *greedyState) (fullCandidate, bool) {
 	cur := st.energy()
-	active := st.scanIdx().compact()
-	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos })
+	active := st.fastScan()
 	evals := int64(0)
 	for _, c := range active {
 		if !st.inTour[int(c)] {
@@ -297,9 +298,11 @@ func (a *Algorithm2) pickNextRef(st *greedyState) (fullCandidate, bool) {
 
 // greedyState is the shared incremental machinery of Algorithms 2 and 3.
 type greedyState struct {
-	in       *Instance
-	set      *hover.Set
-	tour     tsp.Tour // over hover-set ids, depot always present
+	in  *Instance
+	set *hover.Set
+	// tour is over hover-set ids, depot always present. It changes only
+	// through insertStop, improveTour and plan, which bump slots' version.
+	tour     tsp.Tour
 	dist     tsp.Metric
 	inTour   []bool
 	residual []units.Bits // remaining volume per sensor, MB
@@ -316,10 +319,14 @@ type greedyState struct {
 	// reference selects the retained full-scan path; the default fast
 	// path maintains idx (the residual-active candidate index, built
 	// lazily so callers may seed residuals first) and prices insertions
-	// through ins (per-iteration cached tour edges).
+	// through slots (each candidate's slot, carried across iterations)
+	// over ins (per-iteration cached tour edges). snap is improveTour's
+	// copy of the order, which tells a pure insertion from a moved tour.
 	reference bool
 	idx       *scanIndex
 	ins       insertionScratch
+	slots     slotCache
+	snap      []int
 }
 
 func newGreedyState(in *Instance, set *hover.Set) *greedyState {
@@ -360,6 +367,15 @@ func (st *greedyState) scanIdx() *scanIndex {
 	return st.idx
 }
 
+// fastScan readies the fast path for one scan of the current tour: it
+// sizes the slot cache, caches the tour's stop positions and edges, and
+// returns the compacted residual-active candidate list.
+func (st *greedyState) fastScan() []int32 {
+	st.slots.size(st.set.Len())
+	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos })
+	return st.scanIdx().compact()
+}
+
 // noteDrained tells the index sensor v just hit exactly zero residual.
 func (st *greedyState) noteDrained(v int) {
 	if st.idx != nil {
@@ -367,14 +383,27 @@ func (st *greedyState) noteDrained(v int) {
 	}
 }
 
+// insertStop inserts location loc into the tour at pos. It is the only way
+// a stop joins the tour, so the slot cache learns of every insertion.
+func (st *greedyState) insertStop(loc, pos int) {
+	st.tour = tsp.Insert(st.tour, loc, pos)
+	st.inTour[loc] = true
+	st.slots.changed(pos)
+}
+
 // improveTour re-optimises the tour after an acceptance. The fast path
 // polishes through a dense submatrix over the tour's items — bit-identical
-// moves, counters and trace to the direct form (see tsp.ImproveDense).
+// moves, counters and trace to the direct form (see tsp.ImproveDense). A
+// tour that any move changed invalidates every cached insertion slot.
 func (st *greedyState) improveTour() {
+	st.snap = append(st.snap[:0], st.tour.Order...)
 	if st.reference {
 		tsp.Improve(&st.tour, st.dist, st.rec)
 	} else {
 		tsp.ImproveDense(&st.tour, st.dist, st.rec)
+	}
+	if !slices.Equal(st.snap, st.tour.Order) {
+		st.slots.changed(0)
 	}
 }
 
@@ -382,8 +411,7 @@ func (st *greedyState) improveTour() {
 // sensor completely, and re-optimises the tour order.
 func (st *greedyState) acceptFull(c fullCandidate) {
 	st.cAccepted.Inc()
-	st.tour = tsp.Insert(st.tour, c.loc, c.pos)
-	st.inTour[c.loc] = true
+	st.insertStop(c.loc, c.pos)
 	st.sojourns[c.loc] = c.sojourn
 	st.hoverTime += c.sojourn
 	m := map[int]units.Bits{}
@@ -421,6 +449,7 @@ func (st *greedyState) christofidesDelta(c int) (int, float64) {
 // plan freezes the state into a Plan in tour order.
 func (st *greedyState) plan(name string) *Plan {
 	st.tour.RotateTo(hover.DepotID)
+	st.slots.changed(0)
 	p := &Plan{Algorithm: name, Depot: st.in.Net.Depot}
 	for _, id := range st.tour.Order {
 		if id == hover.DepotID {

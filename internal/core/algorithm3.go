@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"uavdc/internal/geom"
 	"uavdc/internal/hover"
 	"uavdc/internal/trace"
 	"uavdc/internal/tsp"
@@ -51,7 +50,6 @@ type partialCandidate struct {
 	gain    units.Bits    // extra MB collected
 	hoverE  units.Joules  // extra hover energy, J
 	travelE units.Joules  // extra travel energy, J
-	take    map[int]units.Bits
 }
 
 // Plan implements Planner.
@@ -127,8 +125,7 @@ func (a *Algorithm3) pickNext(st *greedyState, k int) (partialCandidate, bool) {
 // location each iteration).
 func (a *Algorithm3) pickNextFast(st *greedyState, k int) (partialCandidate, bool) {
 	cur := st.energy()
-	active := st.scanIdx().compact()
-	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos })
+	active := st.fastScan()
 	st.cSkipped.Add(int64(st.set.Len()-1) - int64(len(active)))
 	workers := a.Workers
 	if workers <= 1 || len(active) < 256 {
@@ -264,7 +261,7 @@ func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so sca
 		if st.reference {
 			pos, travelD = tsp.BestInsertion(st.tour, c, st.dist)
 		} else {
-			pos, travelD = st.ins.bestInsertion(loc.Pos)
+			pos, travelD = st.slots.best(c, loc.Pos, &st.ins)
 		}
 	}
 	for level := 1; level <= k; level++ {
@@ -272,7 +269,7 @@ func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so sca
 		if sojourn <= prevSojourn+1e-12 {
 			continue // not an upgrade; paper discards dominated levels
 		}
-		gain, take := partialTake(loc.Covered, st.residual, already, loc.Rates, units.BitsPerSecond(in.Net.Bandwidth), sojourn)
+		gain := partialTake(loc.Covered, st.residual, already, loc.Rates, units.BitsPerSecond(in.Net.Bandwidth), sojourn, nil)
 		if gain <= 1e-12 {
 			continue
 		}
@@ -298,7 +295,6 @@ func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so sca
 			gain:    gain,
 			hoverE:  hoverE,
 			travelE: travelE,
-			take:    take,
 		}
 		if betterPartial(cand, ratio, best, bestRatio) {
 			best, bestRatio = cand, ratio
@@ -311,10 +307,12 @@ func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so sca
 // time, how much more each covered sensor can upload: the per-sensor cap is
 // rate_v·sojourn for the whole stay, minus what this stop already took,
 // bounded by the sensor's residual volume. rates is parallel to covered;
-// nil means the constant bandwidth.
-func partialTake(covered []int, residual []units.Bits, already map[int]units.Bits, rates []units.BitsPerSecond, bandwidth units.BitsPerSecond, sojourn units.Seconds) (units.Bits, map[int]units.Bits) {
+// nil means the constant bandwidth. It returns the summed gain; a non-nil
+// take also receives each sensor's amount. Pricing passes nil, so no level
+// allocates; accept builds the map once, from the same loop, against the
+// same residuals.
+func partialTake(covered []int, residual []units.Bits, already map[int]units.Bits, rates []units.BitsPerSecond, bandwidth units.BitsPerSecond, sojourn units.Seconds, take map[int]units.Bits) units.Bits {
 	var gain units.Bits
-	take := make(map[int]units.Bits, len(covered))
 	for i, v := range covered {
 		if residual[v] <= 0 {
 			continue
@@ -329,11 +327,13 @@ func partialTake(covered []int, residual []units.Bits, already map[int]units.Bit
 		}
 		amt := units.Min(residual[v], room)
 		if amt > 0 {
-			take[v] = amt
+			if take != nil {
+				take[v] = amt
+			}
 			gain += amt
 		}
 	}
-	return gain, take
+	return gain
 }
 
 // acceptPartial applies a partial candidate: inserts or upgrades the stop,
@@ -344,14 +344,16 @@ func (st *greedyState) acceptPartial(c partialCandidate) {
 		st.cUpgraded.Inc()
 	} else {
 		st.cAccepted.Inc()
-		st.tour = tsp.Insert(st.tour, c.loc, c.pos)
-		st.inTour[c.loc] = true
+		st.insertStop(c.loc, c.pos)
 		st.collected[c.loc] = map[int]units.Bits{}
 	}
 	st.hoverTime += c.sojourn - st.sojourns[c.loc]
 	st.sojourns[c.loc] = c.sojourn
 	ledger := st.collected[c.loc]
-	for v, amt := range c.take {
+	loc := &st.set.Locs[c.loc]
+	take := make(map[int]units.Bits, len(loc.Covered))
+	partialTake(loc.Covered, st.residual, ledger, loc.Rates, units.BitsPerSecond(st.in.Net.Bandwidth), c.sojourn, take)
+	for v, amt := range take {
 		ledger[v] += amt
 		st.residual[v] -= amt
 		if st.residual[v] <= 0 {

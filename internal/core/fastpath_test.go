@@ -2,85 +2,204 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/obs"
 	"uavdc/internal/sensornet"
 	"uavdc/internal/trace"
+	"uavdc/internal/tsp"
 	"uavdc/internal/units"
 )
 
 // These are the planner-level differential tests behind the fast-path
 // parity contract (EXPERIMENTS.md): the spatial-index-pruned candidate
-// scan, the cached-edge insertion pricing, and the memoized distance
-// matrices must yield plans bit-identical to the retained reference scan,
-// at every worker count, because the fast path only skips candidates whose
-// award is provably zero and substitutes arithmetic that produces the
-// exact same float64s.
+// scan, the incremental and cached-edge insertion pricing, and the
+// memoized distance matrices must yield plans bit-identical to the
+// retained reference scan, at every worker count, because the fast path
+// only skips candidates whose award is provably zero and substitutes
+// arithmetic that produces the exact same float64s.
+
+// pricingFixture is one planner input of the differential suite.
+type pricingFixture struct {
+	name string
+	in   *Instance
+}
+
+// latticeInstance is a δ = 15 m field of duplicate-position sensors: the
+// medium field's sensors moved in pairs onto a 6-column lattice of grid
+// centres three squares apart, with the depot on a grid centre too. Every
+// stop then sits on the lattice, where mirror-image edges give bit-equal
+// insertion deltas, so the scans meet exact slot ties — the case where
+// the slot cache must keep the full scan's lowest slot. data > 0 gives
+// every sensor that volume, which adds exact ratio ties between twins'
+// candidates; 0 keeps the generated volumes.
+func latticeInstance(t testing.TB, capacity units.Joules, data float64) *Instance {
+	t.Helper()
+	in := mediumInstance(t, 5, capacity)
+	in.Delta = 15
+	centre := func(i int) float64 { return 7.5 + 15*float64(i) }
+	net := *in.Net
+	net.Sensors = append([]sensornet.Sensor(nil), net.Sensors...)
+	for v := range net.Sensors {
+		i, j := (v/2)%6, (v/2)/6
+		net.Sensors[v].Pos = geom.Pt(centre(3*i+3), centre(3*j+3))
+		if data > 0 {
+			net.Sensors[v].Data = data
+		}
+	}
+	net.Depot = geom.Pt(centre(10), centre(10))
+	in.Net = &net
+	return in
+}
+
+// planCounted plans in with p under a fresh registry and returns the plan
+// and the counter totals.
+func planCounted(t *testing.T, p Planner, in *Instance) (*Plan, map[string]int64) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	instr := *in
+	instr.Obs = reg
+	plan, err := p.Plan(&instr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan, reg.Snapshot().Counters
+}
+
+// assertSameDecisions fails unless the fast run's counters equal the
+// reference run's outside the scan ledger (evaluations, residual
+// recomputes and skips, which TestSkippedEvalsReconcile reconciles).
+// Accepted and upgraded stops, budget prunes and every tour-polish pass and
+// move must match, so a stop inserted at a different slot shows here even
+// when the polish later restores the same plan.
+func assertSameDecisions(t *testing.T, name string, workers int, ref, fast map[string]int64) {
+	t.Helper()
+	union := maps.Clone(ref)
+	maps.Copy(union, fast)
+	for _, c := range slices.Sorted(maps.Keys(union)) {
+		switch c {
+		case CounterCandidateEvals, CounterResidualRecomputes, CounterScanSkippedDrained:
+			continue
+		}
+		if ref[c] != fast[c] {
+			t.Fatalf("%s workers=%d: counter %s: reference %d, fast %d", name, workers, c, ref[c], fast[c])
+		}
+	}
+}
+
+// requireImproveMoves fails unless counters record a tour-polish move.
+// Every polish runs right after an accept, so a positive 2-opt or Or-opt
+// move count means some accept left a tour that is not its insert's tour,
+// the case the slot cache must re-price in full.
+func requireImproveMoves(t *testing.T, name string, counters map[string]int64) {
+	t.Helper()
+	if counters[tsp.CounterTwoOptMoves]+counters[tsp.CounterOrOptMoves] == 0 {
+		t.Fatalf("%s: no tour-polish moves; the fixture does not reach the slot cache's fallback", name)
+	}
+}
 
 // TestFastPathMatchesReferenceAlg2 runs Algorithm 2 both ways on several
-// instances and worker counts and demands bit-equal plans.
+// instances and worker counts and demands bit-equal plans. Beyond the
+// medium fields, a lattice field gives exact slot ties and a generous
+// budget makes the tour polish move stops mid-run.
 func TestFastPathMatchesReferenceAlg2(t *testing.T) {
+	var fixtures []pricingFixture
 	for _, seed := range []uint64{1, 4, 9} {
 		for _, capacity := range []units.Joules{1.2e4, 3e4} {
 			in := mediumInstance(t, seed, capacity)
 			in.Delta = 15
-			ref, err := (&Algorithm2{Reference: true}).Plan(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				fast, err := (&Algorithm2{Workers: workers}).Plan(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertPlansIdentical(t, "algorithm2-fast", workers, ref, fast)
-			}
+			fixtures = append(fixtures, pricingFixture{fmt.Sprintf("seed%d-cap%g", seed, capacity), in})
+		}
+	}
+	moved := mediumInstance(t, 6, 6e4)
+	moved.Delta = 15
+	fixtures = append(fixtures,
+		pricingFixture{"lattice", latticeInstance(t, 1.5e4, 100)},
+		pricingFixture{"improve-moves", moved})
+	for _, fx := range fixtures {
+		name := "algorithm2-fast/" + fx.name
+		ref, refCounters := planCounted(t, &Algorithm2{Reference: true}, fx.in)
+		if fx.in == moved {
+			requireImproveMoves(t, name, refCounters)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			fast, counters := planCounted(t, &Algorithm2{Workers: workers}, fx.in)
+			assertPlansIdentical(t, name, workers, ref, fast)
+			assertSameDecisions(t, name, workers, refCounters, counters)
 		}
 	}
 }
 
 // TestFastPathMatchesReferenceAlg3 does the same for Algorithm 3 across K
 // values (K = 1 degenerates to full drains; larger K exercises in-place
-// upgrades, whose scan must keep drained in-tour stops visible).
+// upgrades, whose scan must keep drained in-tour stops visible), plus the
+// lattice and tour-polish fixtures.
 func TestFastPathMatchesReferenceAlg3(t *testing.T) {
+	var fixtures []pricingFixture
 	for _, seed := range []uint64{2, 7} {
 		for _, k := range []int{1, 2, 4} {
 			in := mediumInstance(t, seed, 2e4)
 			in.Delta = 15
 			in.K = k
-			ref, err := (&Algorithm3{Reference: true}).Plan(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				fast, err := (&Algorithm3{Workers: workers}).Plan(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertPlansIdentical(t, "algorithm3-fast", workers, ref, fast)
-			}
+			fixtures = append(fixtures, pricingFixture{fmt.Sprintf("seed%d-k%d", seed, k), in})
+		}
+	}
+	lattice := latticeInstance(t, 1.5e4, 0)
+	lattice.K = 3
+	moved := mediumInstance(t, 6, 6e4)
+	moved.Delta = 15
+	moved.K = 3
+	fixtures = append(fixtures, pricingFixture{"lattice", lattice}, pricingFixture{"improve-moves", moved})
+	for _, fx := range fixtures {
+		name := "algorithm3-fast/" + fx.name
+		ref, refCounters := planCounted(t, &Algorithm3{Reference: true}, fx.in)
+		if fx.in == moved {
+			requireImproveMoves(t, name, refCounters)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			fast, counters := planCounted(t, &Algorithm3{Workers: workers}, fx.in)
+			assertPlansIdentical(t, name, workers, ref, fast)
+			assertSameDecisions(t, name, workers, refCounters, counters)
 		}
 	}
 }
 
 // TestFastPathMatchesReferenceLNS covers the destroy/repair loop, whose
-// rebuilt states seed residuals before the lazy scan index is built.
+// rebuilt states seed residuals before the lazy scan index is built and
+// seed the tour by direct inserts before the slot cache prices anything.
+// LNS repairs serially, so the worker count varies its base planner. The
+// seeded fixture checks that repair really inserted stops into seeded
+// tours: the LNS run accepts more stops than its base plan alone.
 func TestFastPathMatchesReferenceLNS(t *testing.T) {
-	for _, seed := range []uint64{3, 8} {
-		in := mediumInstance(t, seed, 2e4)
-		in.K = 3
-		ref, err := (&LNSPlanner{Rounds: 5, Reference: true}).Plan(in)
-		if err != nil {
-			t.Fatal(err)
+	fixtures := []pricingFixture{
+		{"seed3", mediumInstance(t, 3, 2e4)},
+		{"seed8", mediumInstance(t, 8, 2e4)},
+		{"lattice", latticeInstance(t, 2e4, 0)},
+	}
+	seeded := mediumInstance(t, 6, 4e4)
+	seeded.Delta = 15
+	fixtures = append(fixtures, pricingFixture{"seeded", seeded})
+	for _, fx := range fixtures {
+		fx.in.K = 3
+	}
+	_, base := planCounted(t, &Algorithm3{}, seeded)
+	for _, fx := range fixtures {
+		name := "lns-fast/" + fx.name
+		ref, refCounters := planCounted(t, &LNSPlanner{Rounds: 5, Reference: true}, fx.in)
+		if fx.in == seeded && refCounters[CounterAcceptedStops] <= base[CounterAcceptedStops] {
+			t.Fatalf("%s: LNS accepted %d stops, its base alone %d; no repair inserted into a seeded tour",
+				name, refCounters[CounterAcceptedStops], base[CounterAcceptedStops])
 		}
-		fast, err := (&LNSPlanner{Rounds: 5}).Plan(in)
-		if err != nil {
-			t.Fatal(err)
+		for _, workers := range []int{1, 2, 8} {
+			fast, counters := planCounted(t, &LNSPlanner{Rounds: 5, Base: &Algorithm3{Workers: workers}}, fx.in)
+			assertPlansIdentical(t, name, workers, ref, fast)
+			assertSameDecisions(t, name, workers, refCounters, counters)
 		}
-		assertPlansIdentical(t, "lns-fast", 0, ref, fast)
 	}
 }
 

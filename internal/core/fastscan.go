@@ -120,6 +120,12 @@ func (sc *insertionScratch) reset(n int, pos func(i int) geom.Point) {
 
 // bestInsertion returns the cheapest cyclic insertion slot for a stop at
 // p, exactly as tsp.BestInsertion prices it against the same tour.
+//
+// Each vertex's hypotenuse to p is computed once and carried to the next
+// edge. That is bit-equal to the reference's p.Dist(next): a−b is exactly
+// −(b−a) in IEEE arithmetic, and math.Hypot takes the absolute value of
+// both arguments first (the amd64 assembly and the pure-Go path alike), so
+// Dist is symmetric bit for bit.
 func (sc *insertionScratch) bestInsertion(p geom.Point) (pos int, delta float64) {
 	n := len(sc.pts)
 	switch n {
@@ -129,12 +135,18 @@ func (sc *insertionScratch) bestInsertion(p geom.Point) (pos int, delta float64)
 		return 1, 2 * sc.pts[0].Dist(p)
 	}
 	pos, delta = 0, math.Inf(1)
+	first := sc.pts[0].Dist(p)
+	cur := first
 	for i := 0; i < n; i++ {
-		d := sc.pts[i].Dist(p) + p.Dist(sc.pts[(i+1)%n]) - sc.edge[i]
-		if d < delta {
+		next := first
+		if i+1 < n {
+			next = sc.pts[i+1].Dist(p)
+		}
+		if d := cur + next - sc.edge[i]; d < delta {
 			delta = d
 			pos = i + 1
 		}
+		cur = next
 	}
 	return pos, delta
 }
@@ -142,14 +154,17 @@ func (sc *insertionScratch) bestInsertion(p geom.Point) (pos int, delta float64)
 // bestPathInsertion is the open-path variant used by the replanner: the
 // scratch holds start, interior stops, end, and insertion is priced
 // between consecutive path nodes (pos 0 = right after start), mirroring
-// pathState.bestInsertion including its clamp at 0.
+// pathState.bestInsertion including its clamp at 0. Vertex hypotenuses
+// are carried forward exactly as in bestInsertion.
 func (sc *insertionScratch) bestPathInsertion(p geom.Point) (pos int, delta float64) {
 	pos, delta = 0, math.Inf(1)
+	cur := sc.pts[0].Dist(p)
 	for i := 0; i+1 < len(sc.pts); i++ {
-		d := sc.pts[i].Dist(p) + p.Dist(sc.pts[i+1]) - sc.edge[i]
-		if d < delta {
+		next := sc.pts[i+1].Dist(p)
+		if d := cur + next - sc.edge[i]; d < delta {
 			pos, delta = i, d
 		}
+		cur = next
 	}
 	if delta < 0 {
 		delta = 0
@@ -168,4 +183,82 @@ func (sc *insertionScratch) resetPath(n int, node func(i int) geom.Point) {
 	for i := 0; i+1 < len(sc.pts); i++ {
 		sc.edge = append(sc.edge, sc.pts[i].Dist(sc.pts[i+1]))
 	}
+}
+
+// slotCache keeps each candidate's cheapest insertion slot across greedy
+// iterations, so a candidate is re-priced against only the two edges the
+// last accept created instead of the whole tour. It holds 16 B per
+// candidate: the tour version the entry was priced at, its slot and its
+// delta. Entries are written per candidate, so contiguous worker shards
+// never share one.
+//
+// Exactness: when the tour went from version ver−1 to ver by a pure
+// insertion of v at position q (edge q−1, (a,b), replaced by (a,v) at
+// q−1 and (v,b) at q), every other edge keeps its endpoints and its
+// relative order; only the indices past q−1 shift by one. An edge's delta
+// depends only on its endpoints and p, so the full scan over the new tour
+// compares the same float64s for those edges as it did over the old one.
+// Its answer is therefore the minimum, by (delta, then lowest slot), of
+// the shifted old best and the two new edges — unless the old best was
+// the replaced edge itself, which has no successor to compare against.
+// That case, any other tour change (Improve moves, a rotation, an insert
+// at slot 0) and entries older than ver−1 fall back to a full
+// bestInsertion. The one-stop tour's special case needs no check of its
+// own: it always answers slot 1, and the only insertion recorded after it
+// is at slot 1, its replaced edge.
+type slotCache struct {
+	ver   uint32 // current tour version
+	insAt int    // position of the pure insertion that produced ver; 0 for any other change
+	at    []uint32
+	pos   []int32
+	delta []float64
+}
+
+// size allocates the per-candidate arrays on first use and starts a
+// fresh version, so version 0 stays reserved for "never priced".
+func (sl *slotCache) size(n int) {
+	if sl.at != nil {
+		return
+	}
+	sl.at = make([]uint32, n)
+	sl.pos = make([]int32, n)
+	sl.delta = make([]float64, n)
+	sl.changed(0)
+}
+
+// changed bumps the tour version. insAt > 0 records that the change was a
+// pure insertion at that position; 0 marks any other change.
+func (sl *slotCache) changed(insAt int) {
+	sl.ver++
+	sl.insAt = insAt
+}
+
+// best returns candidate c's cheapest insertion slot for a stop at p on
+// the tour sc was last reset to, bit-equal to sc.bestInsertion(p), and
+// stores it for the next iteration.
+func (sl *slotCache) best(c int, p geom.Point, sc *insertionScratch) (int, float64) {
+	at, q := sl.at[c], sl.insAt
+	if at == sl.ver {
+		return int(sl.pos[c]), sl.delta[c]
+	}
+	var pos int
+	var delta float64
+	if at != 0 && at == sl.ver-1 && q > 0 && int(sl.pos[c]) != q {
+		pos, delta = int(sl.pos[c]), sl.delta[c]
+		if pos > q {
+			pos++
+		}
+		// The two new edges, priced with bestInsertion's expression.
+		dv := sc.pts[q].Dist(p)
+		if d := sc.pts[q-1].Dist(p) + dv - sc.edge[q-1]; d < delta || d == delta && q < pos { //uavdc:allow floateq exact tie keeps the full scan's lowest-slot preference
+			pos, delta = q, d
+		}
+		if d := dv + sc.pts[(q+1)%len(sc.pts)].Dist(p) - sc.edge[q]; d < delta || d == delta && q+1 < pos { //uavdc:allow floateq exact tie keeps the full scan's lowest-slot preference
+			pos, delta = q+1, d
+		}
+	} else {
+		pos, delta = sc.bestInsertion(p)
+	}
+	sl.at[c], sl.pos[c], sl.delta[c] = sl.ver, int32(pos), delta
+	return pos, delta
 }

@@ -133,8 +133,7 @@ func rebuildState(in *Instance, set *hover.Set, p *Plan, frac float64, rng *rand
 		stop := &p.Stops[i]
 		id := stop.LocID
 		pos, _ := tsp.BestInsertion(st.tour, id, st.dist)
-		st.tour = tsp.Insert(st.tour, id, pos)
-		st.inTour[id] = true
+		st.insertStop(id, pos)
 		st.sojourns[id] = units.Seconds(stop.Sojourn)
 		st.hoverTime += units.Seconds(stop.Sojourn)
 		ledger := map[int]units.Bits{}

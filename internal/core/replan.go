@@ -235,7 +235,6 @@ type pathCandidate struct {
 	sojourn units.Seconds
 	gain    units.Bits
 	travelD float64
-	take    map[int]units.Bits
 }
 
 // betterPath is the strict total order merging parallel scans: higher
@@ -289,7 +288,7 @@ func (st *pathState) evalLoc(k, c int, cur units.Joules, so scanObs) (pathCandid
 		if sojourn <= prevSojourn+1e-12 {
 			continue
 		}
-		gain, take := partialTake(loc.Covered, st.residual, already, loc.Rates, units.BitsPerSecond(in.Net.Bandwidth), sojourn)
+		gain := partialTake(loc.Covered, st.residual, already, loc.Rates, units.BitsPerSecond(in.Net.Bandwidth), sojourn, nil)
 		if gain <= 1e-12 {
 			continue
 		}
@@ -314,7 +313,6 @@ func (st *pathState) evalLoc(k, c int, cur units.Joules, so scanObs) (pathCandid
 			sojourn: sojourn,
 			gain:    gain,
 			travelD: travelD,
-			take:    take,
 		}
 		if betterPath(cand, ratio, best, bestRatio) {
 			best, bestRatio = cand, ratio
@@ -467,7 +465,10 @@ func (st *pathState) accept(c pathCandidate) {
 	st.hoverTime += c.sojourn - st.sojourns[c.loc]
 	st.sojourns[c.loc] = c.sojourn
 	ledger := st.collected[c.loc]
-	for v, amt := range c.take {
+	loc := &st.set.Locs[c.loc]
+	take := make(map[int]units.Bits, len(loc.Covered))
+	partialTake(loc.Covered, st.residual, ledger, loc.Rates, units.BitsPerSecond(st.in.Net.Bandwidth), c.sojourn, take)
+	for v, amt := range take {
 		ledger[v] += amt
 		st.residual[v] -= amt
 		if st.residual[v] <= 0 {
