@@ -3,12 +3,18 @@
 
 GO ?= go
 
-.PHONY: ci build vet lint lint-update pure test race fuzz bench bench-micro benchparity fastpath golden golden-traces adaptive trace serve obs
+.PHONY: ci fmt build vet lint lint-update pure test race fuzz bench bench-micro benchparity fastpath golden golden-traces adaptive trace serve obs
 
-ci: vet lint pure build race adaptive trace fastpath benchparity serve obs
+ci: fmt vet lint pure build race adaptive trace fastpath benchparity serve obs
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails when gofmt would rewrite any file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "make fmt: files need gofmt:" >&2; echo "$$out" >&2; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -130,11 +136,9 @@ bench:
 	$(GO) run ./cmd/uavbench -preset reduced -speedup full -serve reduced -out BENCH_PR7.json
 
 # Micro-benchmarks behind the speedup panel: candidate generation fast vs
-# reference (internal/core) and 2-opt with vs without neighbor lists and
-# don't-look bits (internal/tsp).
+# reference (internal/core).
 bench-micro:
 	$(GO) test -run XXX -bench 'BenchmarkAlg2' -benchtime 3x ./internal/core
-	$(GO) test -run XXX -bench 'BenchmarkTwoOpt(Full|DLB)' ./internal/tsp
 
 # Baseline-parity gate: BENCH_PR7.json against BENCH_PR6.json. Both run
 # the same planner, so every deterministic field of the prior panels —

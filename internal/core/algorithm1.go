@@ -27,16 +27,6 @@ const costMemoMax = 2048
 // d–d′ path; an orienteering cycle rooted at the depot is the same object,
 // which is what the solver computes directly.
 type Algorithm1 struct {
-	// Method selects the orienteering solver; the zero value (auto) runs
-	// the portfolio.
-	Method orienteering.Method
-	// AllowOverlap skips the disjoint-coverage filtering. The problem
-	// variant this algorithm targets assumes no two selected hovering
-	// locations share covered sensors; by default the candidate set is
-	// pre-filtered to make that literally true (greedy by award). With
-	// AllowOverlap set the raw candidate set is used and the realised
-	// (deduplicated) volume may be below the orienteering objective.
-	AllowOverlap bool
 	// Reference hands the orienteering solver the raw auxiliary-weight
 	// closure instead of the default dense memoised cost table. Every
 	// table entry is the exact float64 the closure returns, so solutions
@@ -65,15 +55,10 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 	}
 
 	// ids[k] is the hover-set index of orienteering node k; ids[0] is the
-	// depot.
-	ids := []int{hover.DepotID}
-	if a.AllowOverlap {
-		for i := 1; i < set.Len(); i++ {
-			ids = append(ids, i)
-		}
-	} else {
-		ids = append(ids, disjointCandidates(set)...)
-	}
+	// depot. The problem variant this algorithm targets assumes no two
+	// selected hovering locations share covered sensors, so the candidates
+	// are pre-filtered to make that literally true (greedy by award).
+	ids := append([]int{hover.DepotID}, disjointCandidates(set)...)
 	endCand(trace.Int("candidates", set.Len()), trace.Int("nodes", len(ids)))
 
 	cost := tsp.Metric(func(i, j int) float64 { return set.AuxiliaryWeight(ids[i], ids[j]).F() })
@@ -88,7 +73,7 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 		Depot:  0,
 	}
 	endOr := tr.Begin(SpanPlanAlg1Orienteering, trace.Int("nodes", len(ids)))
-	sol, err := orienteering.Solve(prob, a.Method, in.obsRecorder())
+	sol, err := orienteering.Solve(prob, in.obsRecorder())
 	if err != nil {
 		endOr()
 		endPlan()

@@ -190,13 +190,13 @@ func TestFastPathMatchesReferenceLNS(t *testing.T) {
 	_, base := planCounted(t, &Algorithm3{}, seeded)
 	for _, fx := range fixtures {
 		name := "lns-fast/" + fx.name
-		ref, refCounters := planCounted(t, &LNSPlanner{Rounds: 5, Reference: true}, fx.in)
+		ref, refCounters := planCounted(t, &LNSPlanner{Reference: true}, fx.in)
 		if fx.in == seeded && refCounters[CounterAcceptedStops] <= base[CounterAcceptedStops] {
 			t.Fatalf("%s: LNS accepted %d stops, its base alone %d; no repair inserted into a seeded tour",
 				name, refCounters[CounterAcceptedStops], base[CounterAcceptedStops])
 		}
 		for _, workers := range []int{1, 2, 8} {
-			fast, counters := planCounted(t, &LNSPlanner{Rounds: 5, Base: &Algorithm3{Workers: workers}}, fx.in)
+			fast, counters := planCounted(t, &LNSPlanner{Base: &Algorithm3{Workers: workers}}, fx.in)
 			assertPlansIdentical(t, name, workers, ref, fast)
 			assertSameDecisions(t, name, workers, refCounters, counters)
 		}

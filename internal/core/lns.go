@@ -15,22 +15,24 @@ import (
 // machinery repack the freed energy; the best plan found is kept. Greedy
 // ρ-ratio construction is myopic — early cheap stops can crowd out better
 // combinations — and the paper leaves improvement heuristics to future
-// work; this planner is that extension, deterministic under Seed.
+// work; this planner is that extension, deterministic under a fixed
+// eviction seed.
 type LNSPlanner struct {
 	// Base produces the starting plan; nil means Algorithm 3.
 	Base Planner
-	// Rounds is the number of destroy/repair iterations (default 20).
-	Rounds int
-	// DestroyFraction is the share of stops evicted per round, in (0, 1]
-	// (default 0.3).
-	DestroyFraction float64
-	// Seed drives the eviction choices.
-	Seed int64
 	// Reference runs the base planner and every repair scan on the
 	// retained reference path instead of the fast one; plans are
 	// bit-identical either way (see Algorithm2.Reference).
 	Reference bool
 }
+
+// LNS search parameters: destroy/repair rounds, the share of stops
+// evicted per round, and the seed that drives the eviction choices.
+const (
+	lnsRounds          = 20
+	lnsDestroyFraction = 0.3
+	lnsSeed            = 0
+)
 
 // Name implements Planner.
 func (l *LNSPlanner) Name() string { return "lns" }
@@ -43,14 +45,6 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	base := l.Base
 	if base == nil {
 		base = &Algorithm3{Reference: l.Reference}
-	}
-	rounds := l.Rounds
-	if rounds <= 0 {
-		rounds = 20
-	}
-	frac := l.DestroyFraction
-	if frac <= 0 || frac > 1 {
-		frac = 0.3
 	}
 	k := in.K
 	if k < 1 {
@@ -75,11 +69,11 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	rec := in.obsRecorder()
 	cRounds := rec.Counter(CounterLNSRounds)
 	cImproved := rec.Counter(CounterLNSImprovements)
-	rng := rand.New(rand.NewSource(l.Seed))
+	rng := rand.New(rand.NewSource(lnsSeed))
 	alg := &Algorithm3{Reference: l.Reference}
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < lnsRounds; round++ {
 		cRounds.Inc()
-		cur := rebuildState(in, set, best, frac, rng, l.Reference)
+		cur := rebuildState(in, set, best, rng, l.Reference)
 		for {
 			cand, ok := alg.pickNext(cur, k)
 			if !ok {
@@ -114,11 +108,11 @@ func stopsAreCandidates(p *Plan, set *hover.Set) bool {
 // fraction of its stops evicted. The residual drains below happen before
 // the fast scan index exists (it is built lazily on the first pickNext),
 // so the index always observes the fully seeded residuals.
-func rebuildState(in *Instance, set *hover.Set, p *Plan, frac float64, rng *rand.Rand, reference bool) *greedyState {
+func rebuildState(in *Instance, set *hover.Set, p *Plan, rng *rand.Rand, reference bool) *greedyState {
 	st := newGreedyState(in, set)
 	st.reference = reference
 	n := len(p.Stops)
-	evict := int(frac * float64(n))
+	evict := int(lnsDestroyFraction * float64(n))
 	if evict < 1 && n > 0 {
 		evict = 1
 	}

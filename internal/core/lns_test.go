@@ -10,7 +10,7 @@ func TestLNSNeverWorseThanBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns, err := (&LNSPlanner{Rounds: 10, Seed: 7}).Plan(in)
+		lns, err := (&LNSPlanner{}).Plan(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestLNSImprovesSomewhere(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns, err := (&LNSPlanner{Rounds: 25, Seed: 3}).Plan(in)
+		lns, err := (&LNSPlanner{}).Plan(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +50,11 @@ func TestLNSImprovesSomewhere(t *testing.T) {
 
 func TestLNSDeterministic(t *testing.T) {
 	in := mediumInstance(t, 4, 1e4)
-	a, err := (&LNSPlanner{Rounds: 8, Seed: 11}).Plan(in)
+	a, err := (&LNSPlanner{}).Plan(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (&LNSPlanner{Rounds: 8, Seed: 11}).Plan(in)
+	b, err := (&LNSPlanner{}).Plan(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestLNSForeignBaseFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lns, err := (&LNSPlanner{Base: &BenchmarkPlanner{}, Rounds: 5}).Plan(in)
+	lns, err := (&LNSPlanner{Base: &BenchmarkPlanner{}}).Plan(in)
 	if err != nil {
 		t.Fatal(err)
 	}

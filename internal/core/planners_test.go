@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"uavdc/internal/energy"
-	"uavdc/internal/orienteering"
 	"uavdc/internal/rng"
 	"uavdc/internal/sensornet"
 	"uavdc/internal/units"
@@ -278,18 +277,6 @@ func TestAlgorithm1DisjointCoverage(t *testing.T) {
 	}
 }
 
-func TestAlgorithm1AllowOverlap(t *testing.T) {
-	in := mediumInstance(t, 12, 1e5)
-	in.Delta = 40 // keep the unfiltered candidate set small
-	p, err := (&Algorithm1{AllowOverlap: true}).Plan(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePlan(in.Net, in.Model, in.EffectiveCoverRadius(), p); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlgorithm2ExactRatioTSPAgreesRoughly(t *testing.T) {
 	// The ablation knob: literal Eq. 13 pricing should produce a valid
 	// plan within a few percent of the incremental pricing.
@@ -351,21 +338,5 @@ func TestPlannersDeterministic(t *testing.T) {
 		if a.Collected() != b.Collected() || len(a.Stops) != len(b.Stops) {
 			t.Errorf("%s not deterministic: %v/%d vs %v/%d", pl.Name(), a.Collected(), len(a.Stops), b.Collected(), len(b.Stops))
 		}
-	}
-}
-
-// TestAlgorithm1GRASPMethod exercises the GRASP orienteering backend
-// through Algorithm 1's Method knob.
-func TestAlgorithm1GRASPMethod(t *testing.T) {
-	in := mediumInstance(t, 15, 1.2e4)
-	plan, err := (&Algorithm1{Method: orienteering.MethodGRASP}).Plan(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePlan(in.Net, in.Model, in.EffectiveCoverRadius(), plan); err != nil {
-		t.Fatal(err)
-	}
-	if plan.Collected() <= 0 {
-		t.Error("GRASP-backed algorithm1 collected nothing")
 	}
 }

@@ -77,7 +77,7 @@ func TestTraceStreamInvariantAcrossWorkers(t *testing.T) {
 // planner in the library.
 func TestTracingDoesNotChangePlans(t *testing.T) {
 	in := mediumInstance(t, 2, 1.2e4)
-	for _, pl := range []Planner{&Algorithm1{}, &Algorithm2{}, &Algorithm3{}, &BenchmarkPlanner{}, &BenchmarkCoverage{}, &LNSPlanner{Rounds: 3}} {
+	for _, pl := range []Planner{&Algorithm1{}, &Algorithm2{}, &Algorithm3{}, &BenchmarkPlanner{}, &BenchmarkCoverage{}, &LNSPlanner{}} {
 		bare, err := pl.Plan(in)
 		if err != nil {
 			t.Fatalf("%s: %v", pl.Name(), err)

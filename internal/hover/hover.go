@@ -6,10 +6,6 @@
 // P(s_j) = Σ_{v∈C(s_j)} D_v (Eq. 2/6), and the hover energy
 // w1(s_j) = t(s_j)·η_h (Eq. 3/8). Location 0 is always the depot, with
 // empty coverage and zero cost.
-//
-// For Algorithm 3 the package also materialises the K virtual hovering
-// locations s_{j,1..K} per real candidate, with sojourn k·t(s_j)/K and
-// award per Eq. 4.
 package hover
 
 import (
@@ -95,15 +91,6 @@ type Options struct {
 	// used (altitude 0 abstraction, matching the paper's experiments
 	// which set R0 = 50 m directly).
 	CoverRadius units.Meters
-	// KeepEmpty retains squares with empty coverage sets. The paper
-	// assigns them zero award/sojourn; they can never help a tour under
-	// a metric, so the default drops them.
-	KeepEmpty bool
-	// KeepDuplicates retains candidates whose coverage set is identical
-	// to an already-kept candidate. The default drops them, keeping the
-	// candidate whose centre is closest to the centroid of its covered
-	// sensors (minimising worst-case link length).
-	KeepDuplicates bool
 	// Altitude is the hovering altitude H in metres. It matters in two
 	// ways: when CoverRadius is zero it shrinks the effective ground
 	// coverage to sqrt(R²−H²), and when Radio is set it lengthens the
@@ -116,6 +103,11 @@ type Options struct {
 }
 
 // Build constructs the candidate set for net with grid resolution delta.
+// Squares with empty coverage sets are dropped: the paper assigns them
+// zero award and sojourn, so they can never help a tour under a metric.
+// Of candidates with identical coverage sets only the one whose centre is
+// closest to the centroid of its covered sensors is kept (minimising the
+// worst-case link length).
 func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Options) (*Set, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
@@ -172,11 +164,7 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 		center := net.Region.Clamp(grid.Center(sq))
 		buf = idx.WithinAppend(buf[:0], center, r0.F())
 		if len(buf) == 0 {
-			if !opts.KeepEmpty {
-				s.PrunedEmpty++
-				continue
-			}
-			s.Locs = append(s.Locs, Location{Pos: center, SquareIdx: sq})
+			s.PrunedEmpty++
 			continue
 		}
 		covered := append([]int(nil), buf...)
@@ -194,37 +182,62 @@ func Build(net *sensornet.Network, em energy.Model, delta units.Meters, opts Opt
 		loc.Sojourn, loc.Award = DrainRates(net, covered, loc.Rates)
 		loc.HoverEnergy = em.HoverEnergy(loc.Sojourn)
 
-		if !opts.KeepDuplicates {
-			key := coverageKey(covered)
-			if prev, ok := seen[key]; ok {
-				// Keep whichever centre is closer to the coverage centroid.
-				if centroidDist(net, covered, center) < centroidDist(net, covered, s.Locs[prev].Pos) {
-					s.Locs[prev] = loc
-				}
-				s.PrunedDup++
-				continue
+		key := coverageKey(covered)
+		if prev, ok := seen[key]; ok {
+			// Keep whichever centre is closer to the coverage centroid.
+			if centroidDist(net, covered, center) < centroidDist(net, covered, s.Locs[prev].Pos) {
+				s.Locs[prev] = loc
 			}
-			seen[key] = len(s.Locs)
+			s.PrunedDup++
+			continue
 		}
+		seen[key] = len(s.Locs)
 		s.Locs = append(s.Locs, loc)
 	}
 	return s, nil
 }
 
-// Drain returns the sojourn time and total award for fully draining the
-// given sensors at the network's constant bandwidth: t = max D_v/B,
-// P = Σ D_v.
-func Drain(net *sensornet.Network, covered []int) (sojourn units.Seconds, award units.Bits) {
-	return DrainRates(net, covered, nil)
-}
-
-// DrainRates is Drain with per-sensor uplink rates (parallel to covered);
-// nil rates means the constant network bandwidth.
+// DrainRates returns the sojourn time and total award for fully draining
+// the given sensors: t = max D_v/rate_v, P = Σ D_v. rates is parallel to
+// covered; nil means the constant network bandwidth B.
 func DrainRates(net *sensornet.Network, covered []int, rates []units.BitsPerSecond) (sojourn units.Seconds, award units.Bits) {
 	for i, v := range covered {
 		d := units.Bits(net.Sensors[v].Data)
 		award += d
 		r := units.BitsPerSecond(net.Bandwidth)
+		if rates != nil {
+			r = rates[i]
+		}
+		if t := units.TransferTime(d, r); t > sojourn {
+			sojourn = t
+		}
+	}
+	return sojourn, award
+}
+
+// RateAt returns the uplink rate of the i-th covered sensor of location
+// base (the constant bandwidth when the set was built without a radio
+// model).
+func (s *Set) RateAt(base, i int) units.BitsPerSecond {
+	if rates := s.Locs[base].Rates; rates != nil {
+		return rates[i]
+	}
+	return units.BitsPerSecond(s.Net.Bandwidth)
+}
+
+// ResidualDrain returns the sojourn and award for fully draining the given
+// sensors when their remaining volumes are residual[v] (the Algorithm 3
+// recomputation step: after partial collection elsewhere, both t' and P'
+// shrink). rates is parallel to covered; nil means every sensor uploads at
+// bandwidth. Sensors with zero residual contribute nothing.
+func ResidualDrain(covered []int, residual []units.Bits, rates []units.BitsPerSecond, bandwidth units.BitsPerSecond) (sojourn units.Seconds, award units.Bits) {
+	for i, v := range covered {
+		d := residual[v]
+		if d <= 0 {
+			continue
+		}
+		award += d
+		r := bandwidth
 		if rates != nil {
 			r = rates[i]
 		}

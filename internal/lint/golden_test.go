@@ -6,17 +6,24 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/fixture.golden")
 
-// loadFixture loads the miniature module under testdata/src once per
-// test that needs it.
+// fixture loads the miniature module under testdata/src on first use.
+var fixture = sync.OnceValues(func() (*Module, error) {
+	return Load(filepath.Join("testdata", "src"))
+})
+
+// loadFixture returns the fixture module, loaded once per test binary.
+// Tests share it: the Module memoizes its interprocedural index and
+// pureplan findings, and nothing mutates it after the load.
 func loadFixture(t *testing.T) *Module {
 	t.Helper()
-	mod, err := Load(filepath.Join("testdata", "src"))
+	mod, err := fixture()
 	if err != nil {
 		t.Fatalf("Load(testdata/src): %v", err)
 	}

@@ -168,6 +168,22 @@ func TestExactDPVsBruteForce(t *testing.T) {
 	}
 }
 
+// heuristics are the constructive solvers Solve runs above ExactMax.
+var heuristics = []struct {
+	name  string
+	build func(*Problem) (Solution, error)
+}{{"greedy", GreedyRatio}, {"toursplit", TourSplit}}
+
+// polished builds a solution and refines it by local search, as Solve
+// does for each heuristic.
+func polished(p *Problem, build func(*Problem) (Solution, error)) (Solution, error) {
+	sol, err := build(p)
+	if err != nil {
+		return Solution{}, err
+	}
+	return LocalSearch(p, sol, 0), nil
+}
+
 func TestHeuristicsFeasibleAndBounded(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, budget := range []float64{60, 150, 300} {
@@ -176,22 +192,22 @@ func TestHeuristicsFeasibleAndBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, method := range []Method{MethodGreedy, MethodTourSplit, MethodGRASP} {
-				sol, err := Solve(p, method)
+			for _, h := range heuristics {
+				sol, err := polished(p, h.build)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := p.Feasible(sol.Tour); err != nil {
-					t.Fatalf("%v seed=%d budget=%v: %v", method, seed, budget, err)
+					t.Fatalf("%v seed=%d budget=%v: %v", h.name, seed, budget, err)
 				}
 				if sol.Reward > opt.Reward+1e-9 {
-					t.Fatalf("%v beat the optimum: %v > %v", method, sol.Reward, opt.Reward)
+					t.Fatalf("%v beat the optimum: %v > %v", h.name, sol.Reward, opt.Reward)
 				}
 				// Quality floor: the cited algorithm is a 3-approximation;
 				// our heuristics should do at least that well on these
 				// small Euclidean instances.
 				if sol.Reward < opt.Reward/3-1e-9 {
-					t.Errorf("%v seed=%d budget=%v: reward %v below opt/3 (%v)", method, seed, budget, sol.Reward, opt.Reward/3)
+					t.Errorf("%v seed=%d budget=%v: reward %v below opt/3 (%v)", h.name, seed, budget, sol.Reward, opt.Reward/3)
 				}
 			}
 		}
@@ -200,7 +216,7 @@ func TestHeuristicsFeasibleAndBounded(t *testing.T) {
 
 func TestSolveAutoUsesExactWhenSmall(t *testing.T) {
 	p, _ := randomProblem(8, 200, 42)
-	auto, err := Solve(p, MethodAuto)
+	auto, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +231,7 @@ func TestSolveAutoUsesExactWhenSmall(t *testing.T) {
 
 func TestSolveAutoLarge(t *testing.T) {
 	p, _ := randomProblem(60, 300, 9)
-	sol, err := Solve(p, MethodAuto)
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,21 +240,6 @@ func TestSolveAutoLarge(t *testing.T) {
 	}
 	if sol.Reward <= 0 {
 		t.Error("large instance with generous budget should collect something")
-	}
-}
-
-func TestSolveUnknownMethod(t *testing.T) {
-	p, _ := randomProblem(5, 100, 1)
-	if _, err := Solve(p, Method(99)); err == nil {
-		t.Error("unknown method accepted")
-	}
-	if Method(99).String() == "" {
-		t.Error("String for unknown method empty")
-	}
-	for _, m := range []Method{MethodAuto, MethodExact, MethodGreedy, MethodTourSplit, MethodGRASP} {
-		if m.String() == "" {
-			t.Errorf("empty String for %d", int(m))
-		}
 	}
 }
 
@@ -352,7 +353,7 @@ func BenchmarkSolveAuto60(b *testing.B) {
 	p, _ := randomProblem(60, 300, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p, MethodAuto); err != nil {
+		if _, err := Solve(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,13 +371,13 @@ func TestUpperBoundDominatesAllSolvers(t *testing.T) {
 			if opt.Reward > ub+1e-9 {
 				t.Fatalf("seed=%d budget=%v: optimum %v above upper bound %v", seed, budget, opt.Reward, ub)
 			}
-			for _, m := range []Method{MethodGreedy, MethodTourSplit} {
-				sol, err := Solve(p, m)
+			for _, h := range heuristics {
+				sol, err := polished(p, h.build)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if sol.Reward > ub+1e-9 {
-					t.Fatalf("%v beat the upper bound", m)
+					t.Fatalf("%v beat the upper bound", h.name)
 				}
 			}
 		}

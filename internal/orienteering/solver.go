@@ -1,8 +1,6 @@
 package orienteering
 
 import (
-	"fmt"
-
 	"uavdc/internal/obs"
 	"uavdc/internal/trace"
 )
@@ -13,81 +11,42 @@ const (
 	CounterExactRuns       = "orienteering.exact_runs"
 	CounterGreedyRuns      = "orienteering.greedy_runs"
 	CounterTourSplitRuns   = "orienteering.toursplit_runs"
-	CounterGRASPRuns       = "orienteering.grasp_runs"
 	CounterLocalSearchRuns = "orienteering.localsearch_runs"
 )
 
-// Trace span names emitted by Solve, one per solver attempt
-// ("orienteering/" + the method's String()).
+// Trace span names emitted by Solve, one per solver attempt.
 const (
 	SpanExact       = "orienteering/exact"
 	SpanGreedy      = "orienteering/greedy"
 	SpanTourSplit   = "orienteering/toursplit"
-	SpanGRASP       = "orienteering/grasp"
 	SpanLocalSearch = "orienteering/localsearch"
 )
 
-// Method selects an orienteering solver.
-type Method int
-
-const (
-	// MethodAuto runs the portfolio: exact DP when the instance is small
-	// enough, otherwise greedy ratio and tour-split, each refined by local
-	// search, returning the best.
-	MethodAuto Method = iota
-	// MethodExact forces the subset DP (errors above ExactMax nodes).
-	MethodExact
-	// MethodGreedy uses ratio-greedy insertion plus local search.
-	MethodGreedy
-	// MethodTourSplit uses the Christofides window scan plus local search.
-	MethodTourSplit
-	// MethodGRASP runs randomized multi-start greedy construction with
-	// local search (see GRASP); slower than MethodGreedy, often better on
-	// instances where pure greedy gets trapped early.
-	MethodGRASP
-)
-
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case MethodAuto:
-		return "auto"
-	case MethodExact:
-		return "exact"
-	case MethodGreedy:
-		return "greedy"
-	case MethodTourSplit:
-		return "toursplit"
-	case MethodGRASP:
-		return "grasp"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
-// Solve dispatches on method and returns a feasible solution. The returned
-// tour always contains the depot; when nothing else fits the budget the
-// depot-only tour is returned with zero reward. An optional obs.Recorder
-// counts every solver attempt the dispatch makes.
-func Solve(p *Problem, method Method, rec ...obs.Recorder) (Solution, error) {
+// Solve runs the solver portfolio and returns a feasible solution: the
+// exact DP when the instance has at most ExactMax nodes, otherwise greedy
+// ratio and tour-split, each refined by local search, returning the
+// better. The returned tour always contains the depot; when nothing else
+// fits the budget the depot-only tour is returned with zero reward. An
+// optional obs.Recorder counts every solver attempt.
+func Solve(p *Problem, rec ...obs.Recorder) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
 	r := obs.First(rec...)
 	tr := trace.Of(r)
+	if p.N <= ExactMax {
+		r.Counter(CounterExactRuns).Inc()
+		end := tr.Begin(SpanExact, trace.Int("nodes", p.N))
+		sol, err := ExactDP(p)
+		end()
+		return sol, err
+	}
 	localSearch := func(sol Solution) Solution {
 		r.Counter(CounterLocalSearchRuns).Inc()
 		end := tr.Begin(SpanLocalSearch)
 		sol = LocalSearch(p, sol, 0)
 		end(trace.Num("reward", sol.Reward))
 		return sol
-	}
-	exact := func() (Solution, error) {
-		r.Counter(CounterExactRuns).Inc()
-		end := tr.Begin(SpanExact, trace.Int("nodes", p.N))
-		sol, err := ExactDP(p)
-		end()
-		return sol, err
 	}
 	greedy := func() (Solution, error) {
 		r.Counter(CounterGreedyRuns).Inc()
@@ -103,46 +62,18 @@ func Solve(p *Problem, method Method, rec ...obs.Recorder) (Solution, error) {
 		end()
 		return sol, err
 	}
-	switch method {
-	case MethodExact:
-		return exact()
-	case MethodGreedy:
-		sol, err := greedy()
-		if err != nil {
-			return Solution{}, err
-		}
-		return localSearch(sol), nil
-	case MethodTourSplit:
-		sol, err := tourSplit()
-		if err != nil {
-			return Solution{}, err
-		}
-		return localSearch(sol), nil
-	case MethodGRASP:
-		r.Counter(CounterGRASPRuns).Inc()
-		end := tr.Begin(SpanGRASP, trace.Int("nodes", p.N))
-		sol, err := GRASP(p, GRASPOptions{})
-		end()
-		return sol, err
-	case MethodAuto:
-		if p.N <= ExactMax {
-			return exact()
-		}
-		g, err := greedy()
-		if err != nil {
-			return Solution{}, err
-		}
-		g = localSearch(g)
-		t, err := tourSplit()
-		if err != nil {
-			return Solution{}, err
-		}
-		t = localSearch(t)
-		if t.Reward > g.Reward {
-			return t, nil
-		}
-		return g, nil
-	default:
-		return Solution{}, fmt.Errorf("orienteering: unknown method %v", method)
+	g, err := greedy()
+	if err != nil {
+		return Solution{}, err
 	}
+	g = localSearch(g)
+	t, err := tourSplit()
+	if err != nil {
+		return Solution{}, err
+	}
+	t = localSearch(t)
+	if t.Reward > g.Reward {
+		return t, nil
+	}
+	return g, nil
 }

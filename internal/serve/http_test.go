@@ -162,10 +162,14 @@ func TestHTTPMetricsAndHealthz(t *testing.T) {
 func TestTraceStreaming(t *testing.T) {
 	var buf bytes.Buffer
 	s := New(Config{TraceWriter: &buf, StripTimes: true})
-	defer s.Close(context.Background())
 	req := testRequest(1)
 	s.Do(context.Background(), req) // miss: request span + plan spans
 	s.Do(context.Background(), req) // hit: request span only
+	// The worker streams the plan trace after answering the request;
+	// Close waits for it before the buffer is read.
+	if err := s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	out := buf.String()
 	if n := strings.Count(out, `"serve/request"`); n < 4 { // begin+end per request

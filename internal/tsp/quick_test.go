@@ -41,7 +41,7 @@ func TestQuickInsertRemoveInverse(t *testing.T) {
 		n := 3 + int(rawN)%20
 		pts := randPts(n+1, seed)
 		m := euclid(pts)
-		tour := CheapestInsertion(allItems(n), m)
+		tour := NearestNeighbor(allItems(n), m)
 		base := tour.Cost(m)
 		pos, delta := BestInsertion(tour, n, m)
 		grown := Insert(tour, n, pos)

@@ -1,7 +1,7 @@
 // Package tsp provides travelling-salesman tours over arbitrary metrics:
 // Christofides' 3/2-approximation (the algorithm the paper uses for tour
 // construction in Algorithm 2/3 and in the evaluation benchmark), nearest
-// neighbour, cheapest insertion (including the incremental form the greedy
+// neighbour, best-insertion pricing (the incremental form the greedy
 // planners use to price candidate hovering locations), 2-opt / Or-opt local
 // search, and an exact Held–Karp solver used as a test oracle.
 //

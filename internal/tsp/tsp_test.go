@@ -175,6 +175,17 @@ func TestChristofidesBoundsLargerInstances(t *testing.T) {
 	}
 }
 
+// insertionTour grows a tour by inserting items, in order, each at its
+// BestInsertion slot.
+func insertionTour(items []int, m Metric) Tour {
+	var t Tour
+	for _, v := range items {
+		pos, _ := BestInsertion(t, v, m)
+		t = Insert(t, v, pos)
+	}
+	return t
+}
+
 func TestNearestNeighborAndInsertion(t *testing.T) {
 	pts := randPts(30, 3)
 	m := euclid(pts)
@@ -183,15 +194,15 @@ func TestNearestNeighborAndInsertion(t *testing.T) {
 	if err := nn.Validate(items); err != nil {
 		t.Fatal(err)
 	}
-	ci := CheapestInsertion(items, m)
-	if err := ci.Validate(items); err != nil {
+	ins := insertionTour(items, m)
+	if err := ins.Validate(items); err != nil {
 		t.Fatal(err)
 	}
 	mst, _ := MSTLowerBound(items, m)
-	if nn.Cost(m) < mst || ci.Cost(m) < mst {
+	if nn.Cost(m) < mst || ins.Cost(m) < mst {
 		t.Error("construction beat the MST lower bound — cost accounting broken")
 	}
-	if NearestNeighbor(nil, m).Len() != 0 || CheapestInsertion(nil, m).Len() != 0 {
+	if NearestNeighbor(nil, m).Len() != 0 || insertionTour(nil, m).Len() != 0 {
 		t.Error("empty construction should be empty")
 	}
 }
@@ -199,7 +210,7 @@ func TestNearestNeighborAndInsertion(t *testing.T) {
 func TestBestInsertionAndInsertConsistent(t *testing.T) {
 	pts := randPts(15, 9)
 	m := euclid(pts)
-	tour := CheapestInsertion(allItems(10), m)
+	tour := NearestNeighbor(allItems(10), m)
 	base := tour.Cost(m)
 	for v := 10; v < 15; v++ {
 		pos, delta := BestInsertion(tour, v, m)
@@ -242,7 +253,7 @@ func TestInsertOutOfRangePanics(t *testing.T) {
 func TestRemove(t *testing.T) {
 	pts := randPts(10, 4)
 	m := euclid(pts)
-	tour := CheapestInsertion(allItems(10), m)
+	tour := NearestNeighbor(allItems(10), m)
 	base := tour.Cost(m)
 	for _, v := range []int{0, 4, 9} {
 		smaller, delta := Remove(tour, v, m)
@@ -365,8 +376,8 @@ func TestHeldKarpIsLowerBoundForHeuristics(t *testing.T) {
 			t.Fatal(err)
 		}
 		heuristics := map[string]Tour{
-			"nn": NearestNeighbor(items, m),
-			"ci": CheapestInsertion(items, m),
+			"nn":        NearestNeighbor(items, m),
+			"insertion": insertionTour(items, m),
 		}
 		for _, name := range slices.Sorted(maps.Keys(heuristics)) {
 			tour := heuristics[name]
