@@ -94,11 +94,11 @@ trace:
 # spatial-index scan, cached insertion pricing, and memoized matrices to
 # bit-identical plans and counters against the retained reference path —
 # at the planner level (various worker counts) and across all figure
-# drivers at GOMAXPROCS 1/4/8 — plus a paper-scale (δ = 5 m) smoke run of
-# the `full` uavbench preset.
+# drivers at GOMAXPROCS 1/4/8 against the frozen reference golden — plus
+# a paper-scale (δ = 5 m) smoke run of the `full` uavbench preset.
 fastpath:
 	$(GO) test -race -count=1 -run 'TestFastPathMatchesReference|TestSkippedEvalsReconcile|TestFastCountersDeterministicAcrossWorkers' ./internal/core
-	$(GO) test -race -count=1 -run 'TestFastPathParityAcrossFigures|TestBenchSpeedupPanel' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestFastPathParityAcrossFigures' ./internal/experiments
 	$(GO) run ./cmd/uavbench -preset full -fig fig4 -faults none -out /dev/null
 
 # Serving gate: race-enabled daemon and canonical-encoding tests — the
@@ -128,15 +128,16 @@ obs:
 		$(GO) run ./cmd/uavobs diff $$tmp/op.jsonl $$tmp/op.jsonl && \
 		rm -rf $$tmp
 
-# Regenerate the perf baseline (see EXPERIMENTS.md, "Bench baselines"):
-# reduced-preset figure panels, the paper-scale (δ = 5 m)
-# fast-vs-reference speedup panel, and the reduced-preset serving
-# throughput panel.
+# Write a perf run to BENCH.json (see EXPERIMENTS.md, "BENCH_*.json"):
+# reduced-preset figure panels, the fault-scenario panel, and the
+# reduced-preset serving throughput panel. The committed BENCH_PR6.json
+# and BENCH_PR7.json are frozen (benchparity reads them); copy the output
+# to a new BENCH_PR<n>.json to commit a new baseline.
 bench:
-	$(GO) run ./cmd/uavbench -preset reduced -speedup full -serve reduced -out BENCH_PR7.json
+	$(GO) run ./cmd/uavbench -preset reduced -serve reduced -out BENCH.json
 
-# Micro-benchmarks behind the speedup panel: candidate generation fast vs
-# reference (internal/core).
+# Micro-benchmarks of candidate generation: one Algorithm 2 plan on the
+# fast path vs the reference path (internal/core).
 bench-micro:
 	$(GO) test -run XXX -bench 'BenchmarkAlg2' -benchtime 3x ./internal/core
 

@@ -168,31 +168,6 @@ func BenchmarkBaseline(b *testing.B) { benchPlanner(b, &core.BenchmarkPlanner{},
 
 // --- ablations (DESIGN.md §4) ---
 
-// BenchmarkAblationExactRatioTSP prices Algorithm 2 candidates with the
-// literal per-candidate Christofides recomputation of Eq. 13, against the
-// default cheapest-insertion pricing benched by BenchmarkAlgorithm2.
-func BenchmarkAblationExactRatioTSP(b *testing.B) {
-	in := benchInstance(b, 1)
-	in.Delta = 40 // the literal pricing is O(M·|S|³) per step; shrink M
-	pl := &core.Algorithm2{ExactRatioTSP: true}
-	fast := &core.Algorithm2{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exact, err := pl.Plan(in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			quick, err := fast.Plan(in)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(exact.Collected(), "exact_MB")
-			b.ReportMetric(quick.Collected(), "insertion_MB")
-		}
-	}
-}
-
 // BenchmarkAblationDecomposition separates the framework's win into its
 // two ingredients: simultaneous coverage collection (benchmark-coverage vs
 // benchmark) and free hovering placement (algorithm2 vs benchmark-coverage).

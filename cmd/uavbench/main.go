@@ -15,11 +15,6 @@
 //	-workers   parallel candidate-scan goroutines (counters are identical)
 //	-faults    fault spec for the adaptive-execution panel; "default" =
 //	           built-in schedule, "none" skips the panel
-//	-speedup   preset for the fast-vs-reference speedup panel ("none"
-//	           skips it): each -fig driver runs twice at that preset,
-//	           reference scan vs fast scan, and the row records both
-//	           planner times, the candidate-evals ledger, and whether the
-//	           deterministic panels stayed bit-identical
 //	-serve     preset for the serving-throughput panel ("none" skips
 //	           it): a loopback load run against the internal/serve
 //	           daemon core — cold pass over the distinct instances, then
@@ -85,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		seed      = fs.Uint64("seed", 0, "override experiment seed (0 = preset default)")
 		workers   = fs.Int("workers", 0, "parallel candidate-scan goroutines")
 		faultsArg = fs.String("faults", "default", `fault spec for the adaptive panel ("default" = built-in, "none" = skip)`)
-		speedup   = fs.String("speedup", "none", `preset for the fast-vs-reference speedup panel ("none" = skip)`)
 		serveArg  = fs.String("serve", "none", `preset for the serving-throughput panel ("none" = skip)`)
 		serveReqs = fs.Int("serve-requests", 256, "total requests in the serve panel")
 		serveDist = fs.Int("serve-distinct", 8, "distinct instances in the serve panel mix")
@@ -155,24 +149,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		errs.Println("uavbench:", err)
 		return 1
-	}
-	if *speedup != "none" {
-		scfg, ok := presetConfig(*speedup)
-		if !ok {
-			errs.Printf("uavbench: unknown speedup preset %q\n", *speedup)
-			return 2
-		}
-		if *instances > 0 {
-			scfg.Instances = *instances
-		}
-		if *seed != 0 {
-			scfg.Seed = *seed
-		}
-		b.Speedup, err = experiments.BenchSpeedup(*speedup, scfg, figures)
-		if err != nil {
-			errs.Println("uavbench:", err)
-			return 1
-		}
 	}
 	if *serveArg != "none" {
 		vcfg, ok := presetConfig(*serveArg)
@@ -246,15 +222,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	for _, bf := range b.Figures {
 		outw.Printf("%-18s %8.3f s wall  %8.3f s plan  %6d plans\n",
 			bf.Figure, bf.WallSeconds, bf.PlanSeconds, bf.PlanCalls)
-	}
-	for _, sp := range b.Speedup {
-		parity := "bit-identical"
-		if !sp.BitIdentical {
-			parity = "PANELS DIVERGED"
-		}
-		outw.Printf("speedup/%-10s %6.2fx  (%.3f s ref, %.3f s fast)  evals %d -> %d  %s\n",
-			sp.Figure, sp.Speedup, sp.ReferenceSeconds, sp.FastSeconds,
-			sp.ReferenceEvals, sp.FastEvals, parity)
 	}
 	if sv := b.Serve; sv != nil {
 		parity := "bit-identical"

@@ -46,6 +46,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// load loads and type-checks the module to lint. Tests substitute a
+// loader that memoizes the fixture module, which the analyzers only read.
+var load = lint.Load
+
 // run is the testable entry point.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("uavlint", flag.ContinueOnError)
@@ -103,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now() //uavdc:allow nodeterminism wall time only feeds the lint report's elapsed field, never planner output
-	mod, err := lint.Load(*dir)
+	mod, err := load(*dir)
 	if err != nil {
 		errs.Printf("uavlint: %v\n", err)
 		return 2

@@ -8,10 +8,27 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"uavdc/internal/lint"
 )
 
 const fixture = "../../internal/lint/testdata/src"
+
+// fixtureModule loads and type-checks the fixture once per test binary.
+// Every run shares the result: a Module memoizes its interprocedural
+// index and pureplan findings, and nothing mutates it after the load.
+var fixtureModule = sync.OnceValues(func() (*lint.Module, error) { return lint.Load(fixture) })
+
+func init() {
+	load = func(dir string) (*lint.Module, error) {
+		if dir == fixture {
+			return fixtureModule()
+		}
+		return lint.Load(dir)
+	}
+}
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden")
 

@@ -27,13 +27,13 @@ const costMemoMax = 2048
 // d–d′ path; an orienteering cycle rooted at the depot is the same object,
 // which is what the solver computes directly.
 type Algorithm1 struct {
-	// Reference hands the orienteering solver the raw auxiliary-weight
-	// closure instead of the default dense memoised cost table. Every
-	// table entry is the exact float64 the closure returns, so solutions
-	// are bit-identical either way; the table just stops the solver stack
-	// (exact DP, tour split, local search) from recomputing hover/travel
-	// energies per probe.
-	Reference bool
+	// reference hands the orienteering solver the raw auxiliary-weight
+	// closure instead of the default dense memoised cost table; only the
+	// package's differential tests set it. Every table entry is the exact
+	// float64 the closure returns, so solutions are bit-identical either
+	// way; the table just stops the solver stack (exact DP, tour split,
+	// local search) from recomputing hover/travel energies per probe.
+	reference bool
 }
 
 // Name implements Planner.
@@ -62,7 +62,7 @@ func (a *Algorithm1) Plan(in *Instance) (*Plan, error) {
 	endCand(trace.Int("candidates", set.Len()), trace.Int("nodes", len(ids)))
 
 	cost := tsp.Metric(func(i, j int) float64 { return set.AuxiliaryWeight(ids[i], ids[j]).F() })
-	if !a.Reference && len(ids) <= costMemoMax {
+	if !a.reference && len(ids) <= costMemoMax {
 		cost = tsp.MemoMetric(len(ids), cost)
 	}
 	prob := &orienteering.Problem{

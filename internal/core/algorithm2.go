@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/hover"
@@ -25,26 +24,20 @@ import (
 // candidates with the cheapest-insertion delta (an upper bound on the true
 // increase) and re-optimises the selected tour with 2-opt/Or-opt after
 // every acceptance; the energy constraint is always enforced against the
-// actual current tour, so feasibility is never at risk. Set ExactRatioTSP
-// to restore the literal per-candidate Christofides pricing (small
-// instances only — it is O(M·|S|³) per iteration).
+// actual current tour, so feasibility is never at risk.
 type Algorithm2 struct {
-	// ExactRatioTSP prices every candidate with a full Christofides
-	// recomputation, as the paper's Eq. 13 literally specifies.
-	ExactRatioTSP bool
 	// Workers sets the number of goroutines scanning candidates per
 	// iteration; 0 or 1 means serial. Results are identical at any
 	// worker count: candidates are compared with a total order
 	// (ratio, then award, then lowest id).
 	Workers int
-	// Reference disables the fast scan path (residual-active candidate
-	// index, precomputed insertion edges, dense local-search submatrix)
-	// and runs the original full scan. Plans are bit-identical either
-	// way — the fast path only skips candidates that are provably
-	// discarded (award 0) and only substitutes arithmetic that yields
-	// the exact same float64s; the differential suite holds both paths
-	// to that contract.
-	Reference bool
+	// reference runs the retained reference path (every candidate
+	// scanned, tsp.BestInsertion pricing, tsp.Improve polish) that the
+	// package's differential tests compare the fast path against; only
+	// those tests set it. Plans are bit-identical either way — the fast
+	// path only skips candidates that are provably discarded (award 0)
+	// and only substitutes arithmetic that yields the exact same float64s.
+	reference bool
 }
 
 // Name implements Planner.
@@ -66,7 +59,7 @@ func (a *Algorithm2) Plan(in *Instance) (*Plan, error) {
 	}
 	endCand(trace.Int("candidates", set.Len()))
 	st := newGreedyState(in, set)
-	st.reference = a.Reference || a.ExactRatioTSP
+	st.reference = a.reference
 	for {
 		endIter := tr.Begin(SpanPlanAlg2Iterate)
 		best, ok := a.pickNext(st)
@@ -103,12 +96,9 @@ func (a *Algorithm2) evalFull(st *greedyState, c int, curEnergy units.Joules, so
 	}
 	var pos int
 	var travelD float64
-	switch {
-	case a.ExactRatioTSP:
-		pos, travelD = st.christofidesDelta(c)
-	case st.reference:
+	if st.reference {
 		pos, travelD = tsp.BestInsertion(st.tour, c, st.dist)
-	default:
+	} else {
 		// Bit-equal to BestInsertion: same hypotenuses, cached edges,
 		// re-priced incrementally from the last iteration's slot.
 		pos, travelD = st.slots.best(c, loc.Pos, &st.ins)
@@ -131,9 +121,6 @@ func (a *Algorithm2) evalFull(st *greedyState, c int, curEnergy units.Joules, so
 // higher award, then lower id — the id tie-break makes the parallel scan
 // bit-identical to the serial one.
 func betterFull(c1 fullCandidate, r1 float64, c2 fullCandidate, r2 float64) bool {
-	if c2.loc < 0 {
-		return true
-	}
 	if r1 != r2 { //uavdc:allow floateq exact compare keeps the tie-break order total and bit-reproducible; an epsilon would break transitivity
 		return r1 > r2
 	}
@@ -143,157 +130,26 @@ func betterFull(c1 fullCandidate, r1 float64, c2 fullCandidate, r2 float64) bool
 	return c1.loc < c2.loc
 }
 
-// pickNext scans all unselected candidates and returns the best-ratio
-// feasible one, fanning the scan across Workers goroutines when asked.
-// The default fast scan walks only residual-active candidates; Reference
-// (and ExactRatioTSP, whose pricing needs the serial tour) restores the
-// full scan. Both return bit-identical picks.
+// pickNext returns the best-ratio feasible candidate outside the tour.
+// The skip count is the reference scan's evaluations (every candidate
+// outside the tour) minus this scan's, so evals + skipped always
+// reconciles with the reference path; on that path it adds 0.
 func (a *Algorithm2) pickNext(st *greedyState) (fullCandidate, bool) {
-	if st.reference {
-		return a.pickNextRef(st)
-	}
-	return a.pickNextFast(st)
-}
-
-// pickNextFast scans the residual-active candidate list, fanning across
-// Workers goroutines over contiguous shards of the list so the merged
-// record stream equals the serial fast stream. Candidates it skips are
-// exactly those the reference scan evaluates and discards for zero award;
-// the skip count is recorded so evals + skipped always reconciles with
-// the reference scan's evals.
-func (a *Algorithm2) pickNextFast(st *greedyState) (fullCandidate, bool) {
 	cur := st.energy()
-	active := st.fastScan()
-	evals := int64(0)
-	for _, c := range active {
-		if !st.inTour[int(c)] {
+	ids := st.scanIDs()
+	evals := 0
+	for _, c := range ids {
+		if !st.inTour[c] {
 			evals++
 		}
 	}
-	// The reference scan evaluates every candidate outside the tour.
-	st.cSkipped.Add(int64(st.set.Len()-st.tour.Len()) - evals)
-	workers := a.Workers
-	if workers <= 1 || len(active) < 256 {
-		best := fullCandidate{loc: -1}
-		bestRatio := -1.0
-		so := newScanObs(st.rec)
-		for _, c32 := range active {
-			c := int(c32)
-			if st.inTour[c] {
-				continue
-			}
-			if cand, ratio, ok := a.evalFull(st, c, cur, so); ok && betterFull(cand, ratio, best, bestRatio) {
-				best, bestRatio = cand, ratio
-			}
+	st.cSkipped.Add(int64(st.set.Len() - st.tour.Len() - evals))
+	return scanBest(st.rec, ids, a.Workers, func(c int, so scanObs) (fullCandidate, float64, bool) {
+		if st.inTour[c] {
+			return fullCandidate{}, 0, false
 		}
-		return best, best.loc >= 0
-	}
-	type localBest struct {
-		cand  fullCandidate
-		ratio float64
-	}
-	results := make([]localBest, workers)
-	shards := trace.ShardObs(st.rec, workers)
-	var wg sync.WaitGroup
-	chunk := (len(active) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(active))
-		results[w] = localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			so := newScanObs(shards[w])
-			best := localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-			for _, c32 := range active[lo:hi] {
-				c := int(c32)
-				if st.inTour[c] {
-					continue
-				}
-				if cand, ratio, ok := a.evalFull(st, c, cur, so); ok && betterFull(cand, ratio, best.cand, best.ratio) {
-					best = localBest{cand: cand, ratio: ratio}
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	trace.MergeObs(st.rec, shards)
-	best := localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-	for _, r := range results {
-		if r.cand.loc >= 0 && betterFull(r.cand, r.ratio, best.cand, best.ratio) {
-			best = r
-		}
-	}
-	return best.cand, best.cand.loc >= 0
-}
-
-// pickNextRef is the retained reference scan: every candidate outside the
-// tour is priced each iteration.
-func (a *Algorithm2) pickNextRef(st *greedyState) (fullCandidate, bool) {
-	cur := st.energy()
-	n := st.set.Len()
-	workers := a.Workers
-	if workers <= 1 || a.ExactRatioTSP || n < 256 {
-		best := fullCandidate{loc: -1}
-		bestRatio := -1.0
-		so := newScanObs(st.rec)
-		for c := 1; c < n; c++ {
-			if st.inTour[c] {
-				continue
-			}
-			if cand, ratio, ok := a.evalFull(st, c, cur, so); ok && betterFull(cand, ratio, best, bestRatio) {
-				best, bestRatio = cand, ratio
-			}
-		}
-		return best, best.loc >= 0
-	}
-	type localBest struct {
-		cand  fullCandidate
-		ratio float64
-	}
-	results := make([]localBest, workers)
-	shards := trace.ShardObs(st.rec, workers)
-	var wg sync.WaitGroup
-	chunk := (n - 1 + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := 1 + w*chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			results[w] = localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			so := newScanObs(shards[w])
-			best := localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-			for c := lo; c < hi; c++ {
-				if st.inTour[c] {
-					continue
-				}
-				if cand, ratio, ok := a.evalFull(st, c, cur, so); ok && betterFull(cand, ratio, best.cand, best.ratio) {
-					best = localBest{cand: cand, ratio: ratio}
-				}
-			}
-			results[w] = best
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	trace.MergeObs(st.rec, shards)
-	best := localBest{cand: fullCandidate{loc: -1}, ratio: -1}
-	for _, r := range results {
-		if r.cand.loc >= 0 && betterFull(r.cand, r.ratio, best.cand, best.ratio) {
-			best = r
-		}
-	}
-	return best.cand, best.cand.loc >= 0
+		return a.evalFull(st, c, cur, so)
+	}, betterFull)
 }
 
 // greedyState is the shared incremental machinery of Algorithms 2 and 3.
@@ -316,7 +172,7 @@ type greedyState struct {
 	cAccepted obs.Counter
 	cUpgraded obs.Counter
 	cSkipped  obs.Counter
-	// reference selects the retained full-scan path; the default fast
+	// reference selects the retained reference path; the default fast
 	// path maintains idx (the residual-active candidate index, built
 	// lazily so callers may seed residuals first) and prices insertions
 	// through slots (each candidate's slot, carried across iterations)
@@ -367,10 +223,14 @@ func (st *greedyState) scanIdx() *scanIndex {
 	return st.idx
 }
 
-// fastScan readies the fast path for one scan of the current tour: it
-// sizes the slot cache, caches the tour's stop positions and edges, and
-// returns the compacted residual-active candidate list.
-func (st *greedyState) fastScan() []int32 {
+// scanIDs readies one scan of the current tour and returns its id list.
+// The fast path sizes the slot cache, caches the tour's stop positions and
+// edges, and returns the compacted residual-active candidate list; the
+// reference path returns every candidate id.
+func (st *greedyState) scanIDs() []int32 {
+	if st.reference {
+		return referenceIDs(st.set.Len())
+	}
 	st.slots.size(st.set.Len())
 	st.ins.reset(st.tour.Len(), func(i int) geom.Point { return st.set.Locs[st.tour.Order[i]].Pos })
 	return st.scanIdx().compact()
@@ -424,26 +284,6 @@ func (st *greedyState) acceptFull(c fullCandidate) {
 	}
 	st.collected[c.loc] = m
 	st.improveTour()
-}
-
-// christofidesDelta prices candidate c by re-running Christofides over the
-// selected set plus c (the literal Eq. 13). The returned position places c
-// adjacent to its Christofides neighbours in the current tour as closely
-// as cheapest insertion allows; the delta is the Christofides tour-length
-// difference (clamped at ≥ 0).
-func (st *greedyState) christofidesDelta(c int) (int, float64) {
-	items := append(append([]int(nil), st.tour.Order...), c)
-	full, err := tsp.Christofides(items, st.dist, st.rec)
-	if err != nil {
-		return tsp.BestInsertion(st.tour, c, st.dist)
-	}
-	tsp.Improve(&full, st.dist, st.rec)
-	delta := full.Cost(st.dist) - st.tour.Cost(st.dist)
-	if delta < 0 {
-		delta = 0
-	}
-	pos, _ := tsp.BestInsertion(st.tour, c, st.dist)
-	return pos, delta
 }
 
 // plan freezes the state into a Plan in tour order.

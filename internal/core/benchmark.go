@@ -20,15 +20,15 @@ import (
 // matching the paper's description of re-computing the tour as nodes are
 // pruned.
 type BenchmarkPlanner struct {
-	// Reference disables the fast path: the dense memoised distance
-	// matrix over depot+sensors, the in-place removal pricing (the
-	// neighbour-edge delta computed directly instead of through
-	// tsp.Remove's index scan and slice copy), and the per-removal
-	// re-polish through tsp.ImproveAfterRemove instead of full
-	// tsp.Improve sweeps. All are exact rewrites yielding the same
-	// float64s and the same moves, so plans, counters and traces are
-	// bit-identical either way.
-	Reference bool
+	// reference disables the fast path; only the package's differential
+	// tests set it. The fast path is the dense memoised distance matrix
+	// over depot+sensors, the in-place removal pricing (the neighbour-edge
+	// delta computed directly instead of through tsp.Remove's index scan
+	// and slice copy), and the per-removal re-polish through
+	// tsp.ImproveAfterRemove instead of full tsp.Improve sweeps. All are
+	// exact rewrites yielding the same float64s and the same moves, so
+	// plans, counters and traces are bit-identical either way.
+	reference bool
 }
 
 // Name implements Planner.
@@ -48,7 +48,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 	endPlan := tr.Begin(SpanPlanBench, trace.Int("nodes", n+1))
 	// Item ids: 0 is the depot, 1..n are sensors (sensor v is item v+1).
 	dist := tsp.Metric(func(i, j int) float64 { return pos(in, i).Dist(pos(in, j)) })
-	if !b.Reference && n+1 <= costMemoMax {
+	if !b.reference && n+1 <= costMemoMax {
 		dist = tsp.MemoMetric(n+1, dist)
 	}
 	items := make([]int, n+1)
@@ -67,7 +67,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 	// polish re-polishes the tour after the item at position p of its
 	// previous order was removed (p < 0: nothing was).
 	polish := func(p int) {
-		if b.Reference {
+		if b.reference {
 			tsp.Improve(&tour, dist, rec)
 			return
 		}
@@ -94,7 +94,7 @@ func (b *BenchmarkPlanner) Plan(in *Instance) (*Plan, error) {
 			v := it - 1
 			var travelD float64
 			switch {
-			case b.Reference:
+			case b.reference:
 				_, travelD = tsp.Remove(tour, it, dist)
 			case tn >= 3:
 				// tsp.Remove's delta for the known position, without the

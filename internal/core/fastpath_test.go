@@ -103,6 +103,46 @@ func requireImproveMoves(t *testing.T, name string, counters map[string]int64) {
 	}
 }
 
+// TestFastPathMatchesReferenceAlg1 holds Algorithm 1's dense memoised
+// auxiliary-weight table to the reference AuxiliaryWeight closure:
+// bit-equal plans and counter snapshots on medium fields and on the
+// lattice field, whose duplicate positions give the orienteering solver
+// exact cost ties.
+func TestFastPathMatchesReferenceAlg1(t *testing.T) {
+	var fixtures []pricingFixture
+	for _, seed := range []uint64{1, 4} {
+		for _, capacity := range []units.Joules{1.2e4, 3e4} {
+			fixtures = append(fixtures, pricingFixture{fmt.Sprintf("seed%d-cap%g", seed, capacity), mediumInstance(t, seed, capacity)})
+		}
+	}
+	fixtures = append(fixtures,
+		pricingFixture{"lattice", latticeInstance(t, 1.5e4, 0)},
+		pricingFixture{"lattice-equal-data", latticeInstance(t, 1.5e4, 100)})
+	run := func(in *Instance, reference bool) (*Plan, obs.Snapshot) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		instr := *in
+		instr.Obs = reg
+		plan, err := (&Algorithm1{reference: reference}).Plan(&instr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, reg.Snapshot()
+	}
+	for _, fx := range fixtures {
+		name := "algorithm1-fast/" + fx.name
+		ref, refSnap := run(fx.in, true)
+		if len(ref.Stops) == 0 {
+			t.Fatalf("%s: empty plan; the fixture does not exercise the solver", name)
+		}
+		fast, snap := run(fx.in, false)
+		assertPlansIdentical(t, name, 1, ref, fast)
+		if !refSnap.Equal(snap) {
+			t.Errorf("%s: counters diverge:\n%s", name, refSnap.Diff(snap))
+		}
+	}
+}
+
 // TestFastPathMatchesReferenceAlg2 runs Algorithm 2 both ways on several
 // instances and worker counts and demands bit-equal plans. Beyond the
 // medium fields, a lattice field gives exact slot ties and a generous
@@ -123,7 +163,7 @@ func TestFastPathMatchesReferenceAlg2(t *testing.T) {
 		pricingFixture{"improve-moves", moved})
 	for _, fx := range fixtures {
 		name := "algorithm2-fast/" + fx.name
-		ref, refCounters := planCounted(t, &Algorithm2{Reference: true}, fx.in)
+		ref, refCounters := planCounted(t, &Algorithm2{reference: true}, fx.in)
 		if fx.in == moved {
 			requireImproveMoves(t, name, refCounters)
 		}
@@ -157,7 +197,7 @@ func TestFastPathMatchesReferenceAlg3(t *testing.T) {
 	fixtures = append(fixtures, pricingFixture{"lattice", lattice}, pricingFixture{"improve-moves", moved})
 	for _, fx := range fixtures {
 		name := "algorithm3-fast/" + fx.name
-		ref, refCounters := planCounted(t, &Algorithm3{Reference: true}, fx.in)
+		ref, refCounters := planCounted(t, &Algorithm3{reference: true}, fx.in)
 		if fx.in == moved {
 			requireImproveMoves(t, name, refCounters)
 		}
@@ -190,7 +230,7 @@ func TestFastPathMatchesReferenceLNS(t *testing.T) {
 	_, base := planCounted(t, &Algorithm3{}, seeded)
 	for _, fx := range fixtures {
 		name := "lns-fast/" + fx.name
-		ref, refCounters := planCounted(t, &LNSPlanner{Reference: true}, fx.in)
+		ref, refCounters := planCounted(t, &LNSPlanner{reference: true}, fx.in)
 		if fx.in == seeded && refCounters[CounterAcceptedStops] <= base[CounterAcceptedStops] {
 			t.Fatalf("%s: LNS accepted %d stops, its base alone %d; no repair inserted into a seeded tour",
 				name, refCounters[CounterAcceptedStops], base[CounterAcceptedStops])
@@ -224,7 +264,7 @@ func TestFastPathMatchesReferenceReplan(t *testing.T) {
 			Exclude:  func(p geom.Point) bool { return p.Dist(banned) < 1e-9 },
 		}
 		refState := state
-		refState.Reference = true
+		refState.reference = true
 		ref, err := ReplanResidual(in, refState)
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +318,7 @@ func TestFastPathMatchesReferenceBaseline(t *testing.T) {
 		buf.SetDetail(true)
 		instr := *in
 		instr.Obs = trace.With(reg, buf)
-		plan, err := (&BenchmarkPlanner{Reference: reference}).Plan(&instr)
+		plan, err := (&BenchmarkPlanner{reference: reference}).Plan(&instr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +407,7 @@ func TestSkippedEvalsReconcile(t *testing.T) {
 		in := mediumInstance(t, 4, 3e4)
 		in.Delta = 15
 		in.Obs = reg
-		_, err := (&Algorithm2{Reference: reference}).Plan(in)
+		_, err := (&Algorithm2{reference: reference}).Plan(in)
 		return err
 	})
 	run("algorithm3", func(reference bool, reg *obs.Registry) error {
@@ -375,7 +415,7 @@ func TestSkippedEvalsReconcile(t *testing.T) {
 		in.Delta = 15
 		in.K = 3
 		in.Obs = reg
-		_, err := (&Algorithm3{Reference: reference}).Plan(in)
+		_, err := (&Algorithm3{reference: reference}).Plan(in)
 		return err
 	})
 	run("replan", func(reference bool, reg *obs.Registry) error {
@@ -386,7 +426,7 @@ func TestSkippedEvalsReconcile(t *testing.T) {
 			Budget:    in.Budget(),
 			Residual:  residualAfter(in, &Plan{}, 0),
 			K:         2,
-			Reference: reference,
+			reference: reference,
 		})
 		return err
 	})
@@ -427,7 +467,7 @@ func benchAlg2(b *testing.B, reference bool) {
 	in.Delta = 12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&Algorithm2{Reference: reference}).Plan(in); err != nil {
+		if _, err := (&Algorithm2{reference: reference}).Plan(in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,11 +2,92 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"uavdc/internal/geom"
 	"uavdc/internal/hover"
+	"uavdc/internal/obs"
+	"uavdc/internal/trace"
 	"uavdc/internal/units"
 )
+
+// parallelScanMin is the smallest id list scanBest fans across workers;
+// shorter lists scan serially, since a goroutine per shard costs more than
+// it saves.
+const parallelScanMin = 256
+
+// scanBest is the one best-candidate scan of Algorithms 2 and 3, the LNS
+// repair loop and ReplanResidual (Eq. 13's arg-max ρ). It evaluates each
+// id with eval and keeps the winner under better, the planner's strict
+// total order. Every such order ranks a higher ratio first, so a candidate
+// whose ratio is below the incumbent's is discarded without calling better
+// (an indirect call per candidate measurably slowed Algorithm 2's cheap
+// evaluations). With workers > 1 and a long enough list, ids are split into
+// contiguous shards, one goroutine each, recording into trace.ShardObs
+// shards merged in worker order, and the shard winners are merged under
+// the same order — so the pick, counters and trace equal the serial scan's
+// at any worker count. The fast path passes the residual-active list; the
+// reference oracle passes every id from 1 to n−1 (referenceIDs).
+func scanBest[C any](rec obs.Recorder, ids []int32, workers int, eval func(c int, so scanObs) (C, float64, bool), better func(C, float64, C, float64) bool) (C, bool) {
+	type pick struct {
+		cand  C
+		ratio float64
+		ok    bool
+	}
+	keep := func(best *pick, cand C, ratio float64) {
+		if !best.ok || ratio >= best.ratio && better(cand, ratio, best.cand, best.ratio) {
+			*best = pick{cand, ratio, true}
+		}
+	}
+	scan := func(ids []int32, so scanObs) pick {
+		var best pick
+		for _, c := range ids {
+			if cand, ratio, ok := eval(int(c), so); ok {
+				keep(&best, cand, ratio)
+			}
+		}
+		return best
+	}
+	if workers <= 1 || len(ids) < parallelScanMin {
+		best := scan(ids, newScanObs(rec))
+		return best.cand, best.ok
+	}
+	results := make([]pick, workers)
+	shards := trace.ShardObs(rec, workers)
+	var wg sync.WaitGroup
+	chunk := (len(ids) + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo := min(w*chunk, len(ids))
+		hi := min(lo+chunk, len(ids))
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(w int, part []int32) {
+			defer wg.Done()
+			results[w] = scan(part, newScanObs(shards[w]))
+		}(w, ids[lo:hi])
+	}
+	wg.Wait()
+	trace.MergeObs(rec, shards)
+	var best pick
+	for _, r := range results {
+		if r.ok {
+			keep(&best, r.cand, r.ratio)
+		}
+	}
+	return best.cand, best.ok
+}
+
+// referenceIDs is the reference oracle's scan list: every candidate id
+// from 1 to n−1 (0 is the depot).
+func referenceIDs(n int) []int32 {
+	ids := make([]int32, 0, max(n-1, 0))
+	for c := 1; c < n; c++ {
+		ids = append(ids, int32(c))
+	}
+	return ids
+}
 
 // This file is the fast-path candidate machinery shared by the greedy
 // planners (Algorithm 2/3, LNS repair, residual replanning). It rests on

@@ -20,10 +20,11 @@ import (
 type LNSPlanner struct {
 	// Base produces the starting plan; nil means Algorithm 3.
 	Base Planner
-	// Reference runs the base planner and every repair scan on the
-	// retained reference path instead of the fast one; plans are
-	// bit-identical either way (see Algorithm2.Reference).
-	Reference bool
+	// reference runs the default base planner and every repair scan on
+	// the retained reference path; only the package's differential tests
+	// set it. Plans are bit-identical either way (see
+	// Algorithm2.reference).
+	reference bool
 }
 
 // LNS search parameters: destroy/repair rounds, the share of stops
@@ -44,7 +45,7 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	}
 	base := l.Base
 	if base == nil {
-		base = &Algorithm3{Reference: l.Reference}
+		base = &Algorithm3{reference: l.reference}
 	}
 	k := in.K
 	if k < 1 {
@@ -70,10 +71,10 @@ func (l *LNSPlanner) Plan(in *Instance) (*Plan, error) {
 	cRounds := rec.Counter(CounterLNSRounds)
 	cImproved := rec.Counter(CounterLNSImprovements)
 	rng := rand.New(rand.NewSource(lnsSeed))
-	alg := &Algorithm3{Reference: l.Reference}
+	alg := &Algorithm3{reference: l.reference}
 	for round := 0; round < lnsRounds; round++ {
 		cRounds.Inc()
-		cur := rebuildState(in, set, best, rng, l.Reference)
+		cur := rebuildState(in, set, best, rng, l.reference)
 		for {
 			cand, ok := alg.pickNext(cur, k)
 			if !ok {

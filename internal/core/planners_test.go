@@ -277,31 +277,6 @@ func TestAlgorithm1DisjointCoverage(t *testing.T) {
 	}
 }
 
-func TestAlgorithm2ExactRatioTSPAgreesRoughly(t *testing.T) {
-	// The ablation knob: literal Eq. 13 pricing should produce a valid
-	// plan within a few percent of the incremental pricing.
-	in := mediumInstance(t, 13, 6e4)
-	in.Delta = 40
-	fast, err := (&Algorithm2{}).Plan(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := (&Algorithm2{ExactRatioTSP: true}).Plan(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidatePlan(in.Net, in.Model, in.EffectiveCoverRadius(), exact); err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := fast.Collected(), exact.Collected()
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if lo < 0.7*hi {
-		t.Errorf("pricing modes disagree badly: fast %v vs exact %v", fast.Collected(), exact.Collected())
-	}
-}
-
 func TestBenchmarkPrunesToBudget(t *testing.T) {
 	in := mediumInstance(t, 14, 4e4)
 	plan, err := (&BenchmarkPlanner{}).Plan(in)

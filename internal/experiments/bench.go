@@ -71,10 +71,12 @@ type BenchFaultScenario struct {
 }
 
 // BenchSpeedupRow is one figure's fast-vs-reference measurement in the
-// speedup panel: the same driver run twice, once on the retained
-// reference scan path and once on the spatial-index fast path, with the
-// deterministic panels cross-checked for bit-equality. Timing fields are
-// machine noise; the evals columns and BitIdentical are deterministic.
+// frozen speedup panel of BENCH_PR6.json and BENCH_PR7.json: the same
+// driver run twice, once on the retained reference scan path and once on
+// the spatial-index fast path, with the deterministic panels cross-checked
+// for bit-equality. No current tool writes it; the type stays so those
+// documents still parse. Timing fields are machine noise; the evals
+// columns and BitIdentical are deterministic.
 type BenchSpeedupRow struct {
 	// Figure is the driver id, e.g. "fig4".
 	Figure string `json:"figure"`
@@ -102,14 +104,6 @@ type BenchSpeedupRow struct {
 	BitIdentical bool `json:"bit_identical"`
 }
 
-// speedupWorkCounters are the scan work ledger: the only counters allowed
-// to differ between a reference and a fast run of the same configuration.
-var speedupWorkCounters = map[string]bool{
-	core.CounterCandidateEvals:     true,
-	core.CounterResidualRecomputes: true,
-	core.CounterScanSkippedDrained: true,
-}
-
 // Bench is the on-disk BENCH_*.json document: the perf baseline one repo
 // state leaves behind for later states to diff against.
 type Bench struct {
@@ -127,8 +121,8 @@ type Bench struct {
 	// absent in documents written before it existed, so the schema tag is
 	// unchanged.
 	FaultScenarios []BenchFaultScenario `json:"fault_scenarios,omitempty"`
-	// Speedup is the fast-vs-reference panel (uavbench -speedup); absent
-	// in documents written before it existed — an additive field, so the
+	// Speedup is the frozen fast-vs-reference panel, present only in
+	// BENCH_PR6.json and BENCH_PR7.json — an additive field, so the
 	// schema tag is unchanged.
 	Speedup []BenchSpeedupRow `json:"speedup,omitempty"`
 	// Serve is the serving-throughput panel (uavbench -serve); additive
@@ -192,94 +186,6 @@ func planTimerTotals(tab *Table) (seconds float64, calls int64) {
 		}
 	}
 	return seconds, calls
-}
-
-// BenchSpeedup runs each named figure driver twice under the given
-// configuration — once with Config.Reference set (the retained full-scan
-// path) and once on the default fast path — and returns one row per
-// figure: both planner-only wall times, the candidate-evaluation ledger,
-// and whether the deterministic panels matched bit-for-bit. A row with
-// BitIdentical == false means the fast path changed behaviour, not just
-// speed, and the accompanying differential tests should be failing too.
-func BenchSpeedup(preset string, cfg Config, figures []string) ([]BenchSpeedupRow, error) {
-	cfg.Metrics = true
-	measure := func(name string, reference bool) (seconds float64, volumes map[string]float64, calls int64, counters map[string]int64, err error) {
-		c := cfg
-		c.Reference = reference
-		tab, err := Run(name, c)
-		if err != nil {
-			return 0, nil, 0, nil, fmt.Errorf("experiments: speedup %s (reference=%v): %w", name, reference, err)
-		}
-		volumes = map[string]float64{}
-		counters = map[string]int64{}
-		for _, s := range tab.Series {
-			for _, p := range s.Points {
-				volumes[s.Name] += p.Volume
-				for cname, n := range p.Counters {
-					counters[cname] += n
-				}
-			}
-		}
-		seconds, calls = planTimerTotals(tab)
-		return seconds, volumes, calls, counters, nil
-	}
-	rows := make([]BenchSpeedupRow, 0, len(figures))
-	for _, name := range figures {
-		refSec, refVols, refCalls, refCounters, err := measure(name, true)
-		if err != nil {
-			return nil, err
-		}
-		fastSec, fastVols, fastCalls, fastCounters, err := measure(name, false)
-		if err != nil {
-			return nil, err
-		}
-		row := BenchSpeedupRow{
-			Figure:           name,
-			Preset:           preset,
-			ReferenceSeconds: refSec,
-			FastSeconds:      fastSec,
-			ReferenceEvals:   refCounters[core.CounterCandidateEvals],
-			FastEvals:        fastCounters[core.CounterCandidateEvals],
-			SkippedEvals:     fastCounters[core.CounterScanSkippedDrained],
-		}
-		if fastSec > 0 {
-			row.Speedup = refSec / fastSec
-		}
-		row.BitIdentical = speedupPanelsEqual(refVols, fastVols, refCalls, fastCalls, refCounters, fastCounters)
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// speedupPanelsEqual compares the deterministic panels of a reference and
-// a fast run: volumes and plan calls exactly, counters exactly except the
-// scan work ledger.
-func speedupPanelsEqual(refVols, fastVols map[string]float64, refCalls, fastCalls int64, refCounters, fastCounters map[string]int64) bool {
-	if refCalls != fastCalls || len(refVols) != len(fastVols) {
-		return false
-	}
-	for series, want := range refVols {
-		got, ok := fastVols[series]
-		if !ok || got != want { // exact compare: bit-identity is the contract being verified
-			return false
-		}
-	}
-	names := map[string]bool{}
-	for cname := range refCounters {
-		names[cname] = true
-	}
-	for cname := range fastCounters {
-		names[cname] = true
-	}
-	for cname := range names {
-		if speedupWorkCounters[cname] {
-			continue
-		}
-		if refCounters[cname] != fastCounters[cname] {
-			return false
-		}
-	}
-	return true
 }
 
 // BenchFaultScenarios computes the adaptive-execution panel: each planner

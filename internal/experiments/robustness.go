@@ -48,7 +48,7 @@ func ExtRobustness(cfg Config) (*Table, error) {
 				K:     2,
 			}
 			start := time.Now() //uavdc:allow nodeterminism runtime column measures wall time; volumes stay deterministic
-			plan, err := (&core.Algorithm3{Reference: cfg.Reference}).Plan(in)
+			plan, err := (&core.Algorithm3{}).Plan(in)
 			times = append(times, time.Since(start).Seconds()) //uavdc:allow nodeterminism runtime column measures wall time; volumes stay deterministic
 			if err != nil {
 				return nil, fmt.Errorf("experiments: robustness margin=%v: %w", margin, err)

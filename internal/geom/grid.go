@@ -23,16 +23,27 @@ type Grid struct {
 // The last column/row may extend past the region boundary when the region's
 // extent is not an exact multiple of delta, matching the paper's "partition
 // into M equal squares" abstraction. delta must be positive and the region
-// non-degenerate.
+// non-degenerate, and the column count, the row count and the square count
+// M = Cols·Rows must each fit in int.
 func NewGrid(region Rect, delta float64) (*Grid, error) {
-	if delta <= 0 {
+	if !(delta > 0) {
 		return nil, fmt.Errorf("geom: grid delta must be positive, got %v", delta)
 	}
 	if region.Width() <= 0 || region.Height() <= 0 {
 		return nil, fmt.Errorf("geom: degenerate region %v", region)
 	}
-	cols := int(math.Ceil(region.Width() / delta))
-	rows := int(math.Ceil(region.Height() / delta))
+	// float64(math.MaxInt) rounds up to 2^63 on 64-bit platforms, so a
+	// count below it converts exactly; an int conversion of anything
+	// larger is implementation-defined garbage.
+	colsF := math.Ceil(region.Width() / delta)
+	rowsF := math.Ceil(region.Height() / delta)
+	if !(colsF < float64(math.MaxInt)) || !(rowsF < float64(math.MaxInt)) {
+		return nil, fmt.Errorf("geom: %g × %g grid squares at delta %v overflow int", colsF, rowsF, delta)
+	}
+	cols, rows := int(colsF), int(rowsF)
+	if rows > 0 && cols > math.MaxInt/rows {
+		return nil, fmt.Errorf("geom: %d × %d grid squares at delta %v overflow int", cols, rows, delta)
+	}
 	return &Grid{Region: region, Delta: delta, Cols: cols, Rows: rows}, nil
 }
 

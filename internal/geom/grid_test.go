@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -14,6 +15,39 @@ func TestNewGridErrors(t *testing.T) {
 	}
 	if _, err := NewGrid(Rect{}, 5); err == nil {
 		t.Error("want error for degenerate region")
+	}
+}
+
+// TestNewGridOverflow rejects a δ so small over a 1000 m square that the
+// column and row counts, or the square count M, do not fit in int: at
+// 1e-300 each count exceeds int's range; at 1e-12 each count fits but
+// M = 1e30 does not.
+func TestNewGridOverflow(t *testing.T) {
+	cases := []struct {
+		delta      float64
+		wantErr    bool
+		cols, rows int
+	}{
+		{1e-300, true, 0, 0},
+		{1e-12, true, 0, 0},
+		{5, false, 200, 200},
+	}
+	for _, tc := range cases {
+		g, err := NewGrid(Square(1000), tc.delta)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("delta=%v: got a %d × %d grid (M = %d), want an overflow error", tc.delta, g.Cols, g.Rows, g.NumSquares())
+			} else if !strings.Contains(err.Error(), "overflow int") {
+				t.Errorf("delta=%v: error %q, want an overflow error", tc.delta, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("delta=%v: %v", tc.delta, err)
+		}
+		if g.Cols != tc.cols || g.Rows != tc.rows || g.NumSquares() != tc.cols*tc.rows {
+			t.Errorf("delta=%v: %d × %d grid (M = %d), want %d × %d", tc.delta, g.Cols, g.Rows, g.NumSquares(), tc.cols, tc.rows)
+		}
 	}
 }
 

@@ -88,30 +88,40 @@ func InjectedBudget(m energy.Model) units.Joules {
 
 // TestInjectedImpureEffectFailsPurePlan verifies the purity gate end to
 // end on the real codebase: a copy of the module with a package-level
-// counter bump injected into scanIndex.drained — deep inside the
-// Algorithm 2 scan loop — must come back with exactly one active
-// pureplan diagnostic whose chain walks from a planner entry point down
-// to the injected write. This is the failure `make ci`'s lint step
-// exists to catch: silent global state accumulating under the plan
-// cache.
+// counter bump injected at three sites must come back with exactly one
+// active pureplan diagnostic per site, each with a chain that walks from
+// a planner entry point down to the injected write. The sites are
+// scanIndex.drained, deep in the accept path; Algorithm3.evalLoc, which
+// only the eval closure handed to the shared scan calls (a func-literal
+// edge); and the generic scanBest itself (a call to an implicitly
+// instantiated function). A call graph that dropped either edge kind
+// would prove less without this test failing otherwise. This is the
+// failure `make ci`'s lint step exists to catch: silent global state
+// accumulating under the plan cache.
 func TestInjectedImpureEffectFailsPurePlan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a copy of the internal tree; skipped in -short")
 	}
 	root := copyModuleTree(t)
-	fastscan := filepath.Join(root, "internal", "core", "fastscan.go")
-	raw, err := os.ReadFile(fastscan)
-	if err != nil {
-		t.Fatal(err)
+	// inject adds a write to injectedTally right after anchor in file.
+	inject := func(file, anchor string) {
+		t.Helper()
+		path := filepath.Join(root, "internal", "core", file)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(raw), anchor) {
+			t.Fatalf("injection anchor %q not found in %s", anchor, file)
+		}
+		poisoned := strings.Replace(string(raw), anchor, anchor+"\n\tinjectedTally++", 1)
+		if err := os.WriteFile(path, []byte(poisoned), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	const anchor = "func (ix *scanIndex) drained(v int) {"
-	if !strings.Contains(string(raw), anchor) {
-		t.Fatalf("injection anchor %q not found in fastscan.go", anchor)
-	}
-	poisoned := strings.Replace(string(raw), anchor, anchor+"\n\tinjectedTally++", 1)
-	if err := os.WriteFile(fastscan, []byte(poisoned), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	inject("fastscan.go", "func (ix *scanIndex) drained(v int) {")
+	inject("fastscan.go", "\tresults := make([]pick, workers)")
+	inject("algorithm3.go", "func (a *Algorithm3) evalLoc(st *greedyState, k, c int, cur units.Joules, so scanObs) (partialCandidate, float64, bool) {")
 	decl := "package core\n\n// injectedTally is the deliberately impure accumulator.\nvar injectedTally int\n"
 	if err := os.WriteFile(filepath.Join(root, "internal", "core", "zz_injected.go"), []byte(decl), 0o644); err != nil {
 		t.Fatal(err)
@@ -121,23 +131,31 @@ func TestInjectedImpureEffectFailsPurePlan(t *testing.T) {
 		t.Fatalf("Load(copied module): %v", err)
 	}
 	active := Active(Run(mod, All()))
-	if len(active) != 1 {
+	if len(active) != 3 {
 		for _, d := range active {
 			t.Logf("active: %s", d.String())
 		}
-		t.Fatalf("got %d active diagnostics, want exactly the injected one", len(active))
+		t.Fatalf("got %d active diagnostics, want exactly the three injected ones", len(active))
 	}
-	d := active[0]
-	if d.Analyzer != "pureplan" || d.Path != "internal/core/fastscan.go" {
-		t.Fatalf("unexpected diagnostic: %s", d.String())
+	const write = "write to package-level var core.injectedTally"
+	want := []struct{ path, chain string }{
+		{"internal/core/algorithm3.go", "entry point core.Algorithm3.Plan: core.Algorithm3.Plan → core.Algorithm3.pickNext → core.Algorithm3.pickNext.func1 → core.Algorithm3.evalLoc → " + write},
+		{"internal/core/fastscan.go", "core.scanIndex.drained → " + write},
+		{"internal/core/fastscan.go", "entry point core.Algorithm2.Plan: core.Algorithm2.Plan → core.Algorithm2.pickNext → core.scanBest → " + write},
 	}
-	for _, want := range []string{
-		"reachable from entry point",
-		"core.scanIndex.drained → write to package-level var core.injectedTally",
-		"write to package-level var core.injectedTally reachable",
-	} {
-		if !strings.Contains(d.Message, want) {
-			t.Errorf("diagnostic missing %q: %s", want, d.String())
+	for _, w := range want {
+		found := false
+		for _, d := range active {
+			if d.Analyzer == "pureplan" && d.Path == w.path && strings.Contains(d.Message, w.chain) &&
+				strings.Contains(d.Message, write+" reachable from entry point") {
+				found = true
+			}
+		}
+		if !found {
+			for _, d := range active {
+				t.Logf("active: %s", d.String())
+			}
+			t.Errorf("no pureplan diagnostic in %s with chain %q", w.path, w.chain)
 		}
 	}
 }
